@@ -1,8 +1,8 @@
-"""Staged-pipeline acceptance bench: warm starts, reuse, parallel sweep.
+"""Staged-pipeline acceptance bench: artifact reuse, parallel sweep.
 
 The gate for the staged solver pipeline: a Figure-2-style quantum sweep
-solved with the pipeline defaults (warm-started R solves + artifact
-reuse) across 4 worker processes must
+solved with the pipeline defaults (artifact reuse) across 4 worker
+processes must
 
 * run at least 2x faster than the seed serial path (pipeline features
   disabled),
@@ -35,9 +35,9 @@ def factory(q):
 
 
 def run_seed(grid):
-    """The pre-pipeline solve path: cold R solves, no artifact reuse."""
+    """The pre-pipeline solve path: no artifact reuse."""
     return sweep("quantum_mean", grid, factory,
-                 model_kwargs=dict(warm_start=False, reuse_artifacts=False))
+                 model_kwargs=dict(reuse_artifacts=False))
 
 
 def run_pipeline(grid, **kwargs):

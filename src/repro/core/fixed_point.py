@@ -11,11 +11,10 @@ One iteration:
 
 The per-class work runs through the staged pipeline of
 :mod:`repro.pipeline`: one :class:`~repro.pipeline.context.SolveContext`
-per run carries reusable assembly/extraction workspaces, the previous
-iteration's ``R`` matrices (warm starts for the next solve), a
+per run carries reusable assembly/extraction workspaces, a
 content-keyed cache of solved chains, and per-stage wall-clock
-timings.  ``FixedPointOptions(warm_start=False, reuse_artifacts=False)``
-routes every stage through the reference implementations instead.
+timings.  ``FixedPointOptions(reuse_artifacts=False)`` routes every
+stage through the reference implementations instead.
 
 Initialization and saturation handling
 --------------------------------------
@@ -123,12 +122,6 @@ class FixedPointOptions:
     #: extrapolated iterates that turn out unstable or non-positive are
     #: simply discarded for that round.
     acceleration: str = "aitken"
-    #: Seed each class's ``R`` solve with its previous iterate (see
-    #: :func:`repro.qbd.rmatrix.solve_R`).  The fixed point moves the
-    #: blocks a little per iteration, so the previous ``R`` is a
-    #: near-solution and the warm Newton refinement converges in a
-    #: couple of steps.
-    warm_start: bool = True
     #: Use the Kronecker assembler and vectorized extractor with their
     #: per-class workspaces (:mod:`repro.pipeline`); ``False`` routes
     #: every stage through the reference implementations in

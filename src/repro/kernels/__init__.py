@@ -6,13 +6,13 @@ The package splits into:
   mode and the size x density selector every kernel consults;
 * :mod:`repro.kernels.sparse` — representation-agnostic block helpers
   (dense ``ndarray`` or CSR) plus LU factorization and PH moments;
-* :mod:`repro.kernels.kron` — sparse Kronecker assembly and the
-  matrix-free Kronecker-sum / generalized-Sylvester operators;
+* :mod:`repro.kernels.kron` — sparse Kronecker assembly;
 * :mod:`repro.kernels.boundary` — the block-tridiagonal boundary
   solver replacing the dense all-levels least-squares path;
 * :mod:`repro.kernels.batched` — ``(n, m, m)`` stacked twins of the
-  R/G solvers, driving many sweep points through one batched-BLAS
-  iteration with per-point dropout;
+  drift test, the cold R/G solve and the dense boundary solve, driving
+  many sweep points through one batched-BLAS iteration with per-point
+  dropout;
 * :mod:`repro.kernels.adaptive` — measured dense/sparse crossover:
   armed per-site winners plus the host+shape-keyed JSON sidecar.
 
@@ -48,13 +48,12 @@ from repro.kernels.batched import (
     batched_drift,
     batched_gth,
     batched_r_from_g,
-    batched_refine_R,
     batched_solve_G,
     batched_solve_R,
     stack_blocks,
 )
 from repro.kernels.boundary import solve_boundary_blocktridiag
-from repro.kernels.kron import KronSumOperator, kron2, solve_sylvester
+from repro.kernels.kron import kron2
 from repro.kernels.sparse import (
     Factorization,
     block_bytes,
@@ -93,13 +92,10 @@ __all__ = [
     "batched_drift",
     "batched_solve_G",
     "batched_r_from_g",
-    "batched_refine_R",
     "batched_solve_R",
     "batched_boundary_solve",
     "solve_boundary_blocktridiag",
-    "KronSumOperator",
     "kron2",
-    "solve_sylvester",
     "Factorization",
     "block_bytes",
     "density",

@@ -54,7 +54,7 @@ CALIBRATION_ENV = "REPRO_GANG_CALIBRATION"
 
 #: Calibratable sites (the ``site=`` labels of ``select_backend``
 #: call sites with both a dense and a sparse implementation).
-SITES = ("boundary", "rsolve", "assembly", "reduce")
+SITES = ("boundary", "assembly", "reduce")
 
 _DECISIONS: dict[str, str] = {}
 
@@ -164,12 +164,6 @@ def pick_winners(dense_timings: dict[str, float],
 
     Stage names map one-to-one onto the calibratable sites; a site
     missing from either probe keeps the static policy (no decision).
-    The ``rsolve`` site is deliberately never armed: flipping the
-    Newton-refinement route (dense Kronecker vs matrix-free GMRES)
-    moves converged ``R`` matrices at the ``1e-12`` level, which
-    near-saturation sweep points amplify past the batched engine's
-    ``1e-8`` parity budget.  Its timings are still recorded for the
-    metrics surface.
     """
     stage_to_site = {"boundary": "boundary",
                      "assemble": "assembly", "reduce": "reduce"}

@@ -2,7 +2,7 @@
 
 Every analytic kernel in the repo has a dense reference implementation
 (small, cache-friendly, zero bookkeeping) and — since this module's
-introduction — a sparse or matrix-free counterpart that wins once the
+introduction — a sparse counterpart that wins once the
 operand grows past a few hundred states.  The crossover is not subtle:
 the per-class boundary system of the gang chains grows linearly with
 the machine size ``P`` while its *density* falls like ``1/n`` (three

@@ -14,9 +14,10 @@ Design rules (all load-bearing for the parity and resume guarantees of
 :mod:`repro.workloads.batched`):
 
 * **Same recurrence, same stopping rule.**  Each kernel mirrors its
-  serial counterpart step for step (``solve_G`` logreduction,
-  ``refine_R`` Newton, GTH elimination, the dense boundary solve), so
-  a batched slice follows the trajectory its serial solve would.
+  serial counterpart step for step (``solve_G`` logreduction, GTH
+  elimination, the dense boundary solve), so a batched slice follows
+  the trajectory its serial solve would, up to the rounding of the
+  stacked BLAS calls.
 * **Composition independence.**  Stacked ``matmul``/``solve``/``inv``
   dispatch to LAPACK/BLAS per slice, so a slice's result does not
   depend on which other points share the batch — a resumed sweep
@@ -43,15 +44,9 @@ __all__ = [
     "batched_drift",
     "batched_solve_G",
     "batched_r_from_g",
-    "batched_refine_R",
     "batched_solve_R",
     "batched_boundary_solve",
 ]
-
-#: Memory cap (float64 elements) for the materialized Kronecker
-#: linearizations of the batched Newton refinement; bigger batches are
-#: processed in sub-chunks of at most this many elements.
-_KRON_ELEMENT_BUDGET = 16_000_000
 
 
 def stack_blocks(mats) -> np.ndarray:
@@ -215,144 +210,20 @@ def batched_r_from_g(A0: np.ndarray, A1: np.ndarray, G: np.ndarray,
     return A0 @ inv
 
 
-# ---------------------------------------------------------------------------
-# Newton refinement of warm-started R iterates
-
-
-def _batched_kron_operator(R, B, A2t, I):
-    """Stack of ``kron(I, B^T) + kron(R, A2^T)`` linearizations.
-
-    ``kron(P, Q)[x1*d + x2, x3*d + x4] = P[x1, x3] Q[x2, x4]``, so the
-    broadcast places the left factor on the outer row/column axes and
-    the right factor on the inner ones; the products and the sum pair
-    the exact same operands as ``np.kron``, keeping each slice bitwise
-    equal to the serial operator.
-    """
-    n, d, _ = R.shape
-    Bt = np.transpose(B, (0, 2, 1))
-    A2b = A2t[None, None, :, None, :] if A2t.ndim == 2 \
-        else A2t[:, None, :, None, :]
-    M = np.empty((n, d, d, d, d))
-    np.multiply(I[None, :, None, :, None], Bt[:, None, :, None, :], out=M)
-    M += R[:, :, None, :, None] * A2b
-    return M.reshape(n, d * d, d * d)
-
-
-def batched_refine_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
-                     R0: np.ndarray, *, tol: float = 1e-12,
-                     max_steps: int = 8,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep Newton refinement of warm-start ``R`` iterates.
-
-    Per-slice mirror of :func:`repro.qbd.rmatrix.refine_R` (dense
-    Kronecker path): same residual target, the same divergence /
-    non-finiteness / negativity / spectral-radius guards, applied per
-    slice.  Returns ``(R, ok)``; a slice with ``ok=False`` simply fell
-    back — the caller runs its cold solve — never an error.
-    """
-    A0 = np.asarray(A0, dtype=np.float64)
-    A1 = np.asarray(A1, dtype=np.float64)
-    A2 = np.asarray(A2, dtype=np.float64)
-    R = np.array(R0, dtype=np.float64, copy=True)
-    n, d, _ = A1.shape
-    I = np.eye(d)
-    A2t = np.transpose(A2, (0, 2, 1))
-    scale = np.maximum(1.0, np.abs(A1).max(axis=(1, 2)))
-    target = np.maximum(tol, 1e-14) * scale
-    ok = np.ones(n, dtype=bool)
-    done = np.zeros(n, dtype=bool)
-    prev_resid = np.full(n, np.inf)
-    # Cap the memory of the materialized d^2 x d^2 operators.
-    chunk = max(1, int(_KRON_ELEMENT_BUDGET // max(1, d ** 4)))
-    for _ in range(max_steps):
-        idx = np.flatnonzero(ok & ~done)
-        if idx.size == 0:
-            break
-        Ra = R[idx]
-        F = A0[idx] + Ra @ A1[idx] + Ra @ Ra @ A2[idx]
-        resid = np.abs(F).max(axis=(1, 2))
-        finite = np.isfinite(resid)
-        ok[idx[~finite]] = False
-        hit = finite & (resid <= target[idx])
-        done[idx[hit]] = True
-        diverged = finite & ~hit & (resid >= prev_resid[idx])
-        ok[idx[diverged]] = False
-        step = np.flatnonzero(finite & ~hit & ~diverged)
-        if step.size == 0:
-            continue
-        sel = idx[step]
-        prev_resid[sel] = resid[step]
-        for lo in range(0, sel.size, chunk):
-            sub = sel[lo:lo + chunk]
-            Rs = R[sub]
-            M = _batched_kron_operator(Rs, A1[sub] + Rs @ A2[sub],
-                                       A2t[sub], I)
-            rhs = -F[step][lo:lo + chunk].reshape(sub.size, d * d)
-            sub_ok = np.ones(sub.size, dtype=bool)
-            h = _masked_solve(M, rhs[..., None], sub_ok)[..., 0]
-            ok[sub[~sub_ok]] = False
-            good = sub[sub_ok]
-            R[good] = R[good] + h[sub_ok].reshape(-1, d, d)
-    # Slices that ran out of steps: accept only if the final residual
-    # already meets the target (the serial for-else branch).
-    tail = np.flatnonzero(ok & ~done)
-    if tail.size:
-        Ra = R[tail]
-        F = A0[tail] + Ra @ A1[tail] + Ra @ Ra @ A2[tail]
-        resid = np.abs(F).max(axis=(1, 2))
-        bad = ~(np.isfinite(resid) & (resid <= target[tail]))
-        ok[tail[bad]] = False
-    # Solvent checks: finite, essentially nonnegative, sp(R) < 1.
-    live = np.flatnonzero(ok)
-    if live.size:
-        Ra = R[live]
-        finite = np.isfinite(Ra).all(axis=(1, 2))
-        rmax = np.maximum(1.0, np.abs(Ra).max(axis=(1, 2)))
-        nonneg = Ra.min(axis=(1, 2)) >= -1e-8 * rmax
-        ok[live[~(finite & nonneg)]] = False
-        live = np.flatnonzero(ok)
-        if live.size:
-            sp = np.abs(np.linalg.eigvals(R[live])).max(axis=1)
-            ok[live[sp >= 1.0]] = False
-    return R, ok
-
-
 def batched_solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
-                    R0: np.ndarray | None = None,
-                    seeded: np.ndarray | None = None,
                     tol: float = 1e-12, max_iter: int = 64,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Warm-refine + cold-logreduction ``R`` solve across a stack.
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep logarithmic-reduction ``R`` solve across a stack.
 
-    Slices flagged in ``seeded`` first try the batched Newton
-    refinement from ``R0``; failures (and unseeded slices) fall through
-    to the lockstep logarithmic reduction — the exact
-    ``solve_R(method="logreduction")`` decision tree, batched.
-
-    Returns ``(R, refined, ok)``: ``refined`` marks slices served by
-    the warm refinement, ``ok=False`` marks slices the caller must
+    The batched ``solve_R(method="logreduction")``: ``G`` by
+    :func:`batched_solve_G`, then ``R`` by :func:`batched_r_from_g`.
+    Returns ``(R, ok)``; ``ok=False`` marks slices the caller must
     re-solve serially (resilience chain, other methods).
     """
-    n = A1.shape[0]
-    refined = np.zeros(n, dtype=bool)
-    R = np.zeros_like(A1)
-    if R0 is not None and seeded is not None and seeded.any():
-        idx = np.flatnonzero(seeded)
-        Rw, warm_ok = batched_refine_R(A0[idx], A1[idx], A2[idx], R0[idx],
-                                       tol=tol)
-        hit = idx[warm_ok]
-        R[hit] = Rw[warm_ok]
-        refined[hit] = True
-    cold = np.flatnonzero(~refined)
-    ok = refined.copy()
-    if cold.size:
-        G, _, g_ok = batched_solve_G(A0[cold], A1[cold], A2[cold],
-                                     tol=tol, max_iter=max_iter)
-        Rc = batched_r_from_g(A0[cold], A1[cold], G, g_ok)
-        g_ok &= np.isfinite(Rc).all(axis=(1, 2))
-        R[cold[g_ok]] = Rc[g_ok]
-        ok[cold[g_ok]] = True
-    return R, refined, ok
+    G, _, ok = batched_solve_G(A0, A1, A2, tol=tol, max_iter=max_iter)
+    R = batched_r_from_g(A0, A1, G, ok)
+    ok &= np.isfinite(R).all(axis=(1, 2))
+    return R, ok
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ Zero-dependency (stdlib-only) substrate shared by every solver layer:
 ``repro.obs.metrics``
     A registry of counters, gauges, and histograms fed by instrumented
     sites across the pipeline (R-solve iterations, cache hits,
-    fallback attempts, GMRES iterations, dense boundary fallbacks,
+    fallback attempts, dense boundary fallbacks,
     fault injections, checkpoint writes...).
 ``repro.obs.report``
     Trace-file summarization: the per-class/per-stage table, metric

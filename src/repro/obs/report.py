@@ -14,7 +14,7 @@ reduces the raw event stream written by :mod:`repro.obs.trace` to:
   (the close-time snapshot plus one per parallel-sweep worker point)
   merged with :func:`repro.obs.metrics.merge_snapshots`: cache
   hits/misses/evictions, backend decisions, fallback attempts,
-  R-solve iterations, GMRES iterations, dense boundary fallbacks,
+  R-solve iterations, dense boundary fallbacks,
   fault injections, checkpoint writes;
 * a **per-request rollup** — spans tagged with a service request ID
   (``"req"``; see :func:`repro.obs.trace.request_scope`) grouped per
@@ -201,24 +201,6 @@ def _rollup_section(summary: TraceSummary, title: str,
     return [f"{title}:", render_snapshot(sub, indent="  "), ""]
 
 
-def _continuation_lines(summary: TraceSummary) -> list[str]:
-    """Derived continuation hit rate of batched sweeps.
-
-    The batched sweep engine counts every solved point as
-    ``sweep.points{start=warm}`` (continuation-seeded from a sweep
-    neighbor) or ``{start=cold}``; the hit rate is the fraction of
-    points the continuation actually reached.
-    """
-    counters = summary.metrics.get("counters") or {}
-    warm = float(counters.get("sweep.points{start=warm}", 0.0))
-    cold = float(counters.get("sweep.points{start=cold}", 0.0))
-    total = warm + cold
-    if total <= 0:
-        return []
-    return [f"continuation: warm={warm:g} cold={cold:g} "
-            f"hit rate {100.0 * warm / total:.1f}%", ""]
-
-
 def render_requests(summary: TraceSummary) -> str:
     """Per-request table of ``repro report --requests``.
 
@@ -311,13 +293,12 @@ def render_report(summary: TraceSummary) -> str:
     lines += _rollup_section(summary, "cache", ("cache.",))
     lines += _rollup_section(summary, "backend", ("backend.",))
     lines += _rollup_section(
-        summary, "solver", ("rsolve.", "fallback.", "gmres.", "boundary.",
+        summary, "solver", ("rsolve.", "fallback.", "boundary.",
                             "fixed_point."))
     lines += _rollup_section(
         summary, "resilience", ("faults.", "checkpoint.", "sweep."))
-    lines += _continuation_lines(summary)
     remaining_prefixes = ("cache.", "backend.", "rsolve.", "fallback.",
-                          "gmres.", "boundary.", "fixed_point.", "faults.",
+                          "boundary.", "fixed_point.", "faults.",
                           "checkpoint.", "sweep.")
     snap = summary.metrics
     leftovers = {

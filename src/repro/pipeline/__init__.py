@@ -12,13 +12,13 @@ value.  This package makes the repeated work explicit and reusable:
   stationary distributions;
 * :mod:`repro.pipeline.context` — the per-run
   :class:`~repro.pipeline.context.SolveContext` carrying class
-  artifacts (including warm-start ``R`` seeds) and stage timings;
+  artifacts and stage timings;
 * :mod:`repro.pipeline.stages` — the assemble / stability / R-solve /
   boundary / extract stages the fixed-point driver composes.
 
 The reference implementations in :mod:`repro.core` remain the
-semantic ground truth; ``FixedPointOptions(reuse_artifacts=False,
-warm_start=False)`` routes the driver back through them.
+semantic ground truth; ``FixedPointOptions(reuse_artifacts=False)``
+routes the driver back through them.
 """
 
 from repro.pipeline.assembly import AssemblyWorkspace, build_class_qbd_fast

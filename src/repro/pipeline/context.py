@@ -3,17 +3,15 @@
 The legacy driver threaded ``(spaces, processes, solutions, saturated)``
 tuples through each iteration and rebuilt everything else from scratch.
 The pipeline instead keeps one :class:`ClassArtifacts` per job class —
-the QBD, its solution, the last ``R`` matrix (the warm-start seed for
-the next iteration) and the reusable assembly/extraction workspaces —
-plus a solved-artifact cache and per-stage wall-clock accounting, all
-bundled in a :class:`SolveContext` created once per fixed-point run.
+the QBD, its solution and the reusable assembly/extraction
+workspaces — plus a solved-artifact cache and per-stage wall-clock
+accounting, all bundled in a :class:`SolveContext` created once per
+fixed-point run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.statespace import ClassStateSpace
@@ -36,10 +34,9 @@ __all__ = ["ClassArtifacts", "SolveContext", "StageTimings"]
 class ClassArtifacts:
     """Everything the pipeline knows about one job class.
 
-    ``R`` survives saturation episodes and vacation updates — the
-    previous iterate is a good Newton seed even after the blocks move —
-    and the workspaces survive everything except a change in the
-    distributions they were built from.
+    The workspaces survive vacation updates and saturation episodes;
+    only a change in the distributions they were built from rebuilds
+    them.
     """
 
     index: int
@@ -49,7 +46,6 @@ class ClassArtifacts:
     process: QBDProcess | None = None
     vacation: PhaseType | None = None
     solution: QBDStationaryDistribution | None = None
-    R: np.ndarray | None = None
     saturated: bool = False
 
 

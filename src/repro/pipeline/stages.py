@@ -6,17 +6,17 @@ Each stage reads and writes the :class:`~repro.pipeline.context.SolveContext`;
 handling, same return shape) so the fixed-point driver stays a thin
 loop over iterations.
 
-The stages fold in the pipeline's three per-iteration wins:
+The stages fold in the pipeline's two per-iteration wins:
 
 * Kronecker assembly with a reused workspace
   (:func:`repro.pipeline.assembly.build_class_qbd_fast`);
-* warm-started ``R`` solves seeded with the class's previous iterate;
 * a content-keyed cache of full stationary solutions serving
   bit-identical re-solves (bootstrap restarts, repeated grid points).
 
+Every ``R`` solve is a cold solve of the configured method.
 ``opts.reuse_artifacts=False`` routes assembly and extraction through
-the reference implementations, and ``opts.warm_start=False`` drops the
-seeding — together they reproduce the legacy solve path exactly.
+the reference implementations, reproducing the legacy solve path
+exactly.
 
 Every stage runs under an observability span (``stage.assemble``,
 ``stage.stability``, ``stage.rsolve``, ``stage.boundary``,
@@ -82,9 +82,8 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
 
     Semantically :func:`repro.qbd.stationary.solve_qbd` (same fault
     site, same instability message, same resilience plumbing) with the
-    stages timed separately, the solve served from ``ctx.cache`` when
-    the blocks are bit-identical to an earlier one, and the ``R``
-    iteration seeded with the class's previous iterate.
+    stages timed separately and the solve served from ``ctx.cache``
+    when the blocks are bit-identical to an earlier one.
     """
     opts = ctx.opts
     art = ctx.classes[p]
@@ -105,21 +104,19 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
                             policy=opts.resilience, backend=backend)
     cached = ctx.cache.get(key)
     if cached is not None:
-        art.solution, art.R = cached, cached.R
+        art.solution = cached
         return cached
-    R0 = art.R if getattr(opts, "warm_start", True) else None
     with span("stage.rsolve", timings=ctx.timings, stage="rsolve",
               klass=p):
         if opts.resilience is None:
             R = solve_R(process.A0, process.A1, process.A2,
-                        method=opts.rmatrix_method, tol=_R_TOL, R0=R0,
-                        backend=backend)
+                        method=opts.rmatrix_method, tol=_R_TOL)
             solve_report = None
         else:
             R, solve_report = resilient_solve_R(
                 process.A0, process.A1, process.A2,
                 method=opts.rmatrix_method, tol=_R_TOL,
-                policy=opts.resilience, R0=R0, backend=backend)
+                policy=opts.resilience)
     with span("stage.boundary", timings=ctx.timings, stage="boundary",
               klass=p):
         pi = solve_boundary(process, R, backend=backend)
@@ -127,7 +124,7 @@ def solve_class(ctx: SolveContext, p: int) -> QBDStationaryDistribution:
                                     drift_report=report,
                                     solve_report=solve_report)
     ctx.cache.put(key, sol)
-    art.solution, art.R = sol, R
+    art.solution = sol
     return sol
 
 
@@ -161,8 +158,7 @@ def solve_all(ctx: SolveContext, vacations: list[PhaseType]):
 
     Drop-in for the legacy ``fixed_point._solve_all`` — same return
     shape, same ``fixed_point.class_solve`` fault site inside the
-    saturation guard.  A saturated class keeps its previous ``R`` as
-    the warm seed for whenever it turns stable again.
+    saturation guard.
     """
     spaces, processes, solutions, saturated = [], [], [], []
     for p in range(ctx.config.num_classes):

@@ -33,19 +33,6 @@ rely on the iteration budget raising
 :class:`~repro.errors.ConvergenceError`.  For multi-method solving
 with automatic fallback, retries, and budgets, use
 :func:`repro.resilience.fallback.resilient_solve_R`.
-
-Warm starts
------------
-:func:`solve_R` accepts an optional initial iterate ``R0``.  For
-``"substitution"`` it replaces the cold ``R = A0 (-A1)^{-1}`` start;
-for every other method a few steps of Newton's method on the quadratic
-residual (each step solves the generalized Sylvester equation
-``H (A1 + R A2) + R H A2 = -F(R)`` via Kronecker linearization,
-:func:`refine_R`) are attempted first, falling back silently to the
-cold algorithm if the refinement does not converge.  Near a fixed
-point of Section 4.3 the vacation blocks change by a shrinking
-perturbation per iteration, so the previous ``R`` is an excellent
-seed and one or two Newton steps replace a full reduction.
 """
 
 from __future__ import annotations
@@ -57,13 +44,10 @@ import numpy as np
 from scipy import linalg as _sla
 
 from repro.errors import ConvergenceError, ValidationError
-from repro.kernels import select_backend
-from repro.kernels.kron import solve_sylvester
 from repro.obs import metrics
 from repro.resilience.faults import maybe_corrupt, maybe_fault
 
-__all__ = ["solve_R", "solve_G", "r_from_g", "refine_R", "METHODS",
-           "RSolveDiagnostics"]
+__all__ = ["solve_R", "solve_G", "r_from_g", "METHODS", "RSolveDiagnostics"]
 
 METHODS = ("logreduction", "cr", "substitution", "spectral")
 
@@ -83,21 +67,17 @@ class RSolveDiagnostics:
     method:
         The algorithm that produced ``R``.
     iterations:
-        Iterations the winning path used: substitution steps, doubling
-        steps for the reduction methods, Newton steps when a warm
-        start was refined, ``0`` for the non-iterative spectral solve.
+        Iterations the method used: substitution steps, doubling steps
+        for the reduction methods, ``0`` for the non-iterative spectral
+        solve.
     residual:
         Quadratic residual ``max|R^2 A2 + R A1 + A0|`` of the returned
         ``R``.
-    refined:
-        ``True`` when the result came from the warm-start Newton
-        refinement (:func:`refine_R`) rather than the cold algorithm.
     """
 
     method: str
     iterations: int
     residual: float
-    refined: bool = False
 
 
 def _quad_residual(R, A0, A1, A2) -> float:
@@ -122,8 +102,6 @@ def _check_deadline(deadline: float | None, what: str, it: int,
 def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
             method: str = "logreduction", tol: float = 1e-12,
             max_iter: int = 100_000,
-            R0: np.ndarray | None = None,
-            backend: str | None = None,
             return_info: bool = False,
             deadline: float | None = None):
     """Minimal non-negative solution of ``R^2 A2 + R A1 + A0 = 0``.
@@ -142,19 +120,6 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         :class:`~repro.errors.ConvergenceError` (the usual cause is an
         unstable QBD, for which the minimal solution has
         ``sp(R) >= 1`` and substitution creeps toward it forever).
-    R0:
-        Optional warm-start iterate (e.g. the previous fixed-point
-        iteration's ``R``).  ``"substitution"`` iterates from it
-        directly; the other methods first try a short Newton
-        refinement (:func:`refine_R`) and fall back to their cold
-        algorithm when it fails.  A shape mismatch (the vacation order
-        changed between iterations) silently discards ``R0``.
-    backend:
-        ``"auto"`` / ``"dense"`` / ``"sparse"`` kernel selection,
-        forwarded to :func:`refine_R` (the only step with a sparse
-        variant: the matrix-free Newton correction for large phase
-        dimensions).  The cold algorithms are dense ``d x d`` BLAS
-        regardless.
     return_info:
         When ``True``, return ``(R, RSolveDiagnostics)`` instead of
         ``R`` alone — iteration count and final residual survive the
@@ -175,43 +140,27 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
         raise ValidationError(
             f"unknown R-matrix method {method!r}; use one of {METHODS}")
     maybe_fault("rmatrix.solve", key=method)
-    if R0 is not None:
-        R0 = np.asarray(R0, dtype=np.float64)
-        if R0.shape != A1.shape or not np.all(np.isfinite(R0)):
-            R0 = None
-    R = None
-    iterations = 0
-    refined = False
     if method == "substitution":
         R, iterations = _solve_r_substitution(A0, A1, A2, tol=tol,
-                                              max_iter=max_iter, R0=R0,
+                                              max_iter=max_iter,
                                               deadline=deadline)
     else:
-        if R0 is not None:
-            warm = refine_R(A0, A1, A2, R0, tol=tol, backend=backend,
-                            return_info=True)
-            if warm is not None:
-                R, iterations = warm
-                refined = True
-        if R is None:
-            if method == "logreduction":
-                G, iterations = solve_G(A0, A1, A2, tol=tol,
-                                        max_iter=max_iter, return_info=True,
-                                        deadline=deadline)
-            elif method == "cr":
-                G, iterations = _solve_g_cr(A0, A1, A2, tol=tol,
-                                            max_iter=max_iter,
-                                            deadline=deadline)
-            else:  # spectral: non-iterative
-                G = _solve_g_spectral(A0, A1, A2, tol=tol)
-                iterations = 0
-            R = r_from_g(A0, A1, G)
+        if method == "logreduction":
+            G, iterations = solve_G(A0, A1, A2, tol=tol, max_iter=max_iter,
+                                    return_info=True, deadline=deadline)
+        elif method == "cr":
+            G, iterations = _solve_g_cr(A0, A1, A2, tol=tol,
+                                        max_iter=max_iter, deadline=deadline)
+        else:  # spectral: non-iterative
+            G = _solve_g_spectral(A0, A1, A2, tol=tol)
+            iterations = 0
+        R = r_from_g(A0, A1, G)
     info = None
     if return_info or metrics.enabled():
         residual = _quad_residual(R, A0, A1, A2)
         info = RSolveDiagnostics(method=method, iterations=int(iterations),
-                                 residual=residual, refined=refined)
-        metrics.inc("rsolve.solves", method=method, refined=refined)
+                                 residual=residual)
+        metrics.inc("rsolve.solves", method=method)
         metrics.observe("rsolve.iterations", iterations, method=method)
         metrics.observe("rsolve.residual", residual, method=method)
     R = maybe_corrupt("rmatrix.result", R, key=method)
@@ -220,101 +169,11 @@ def solve_R(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, *,
     return R
 
 
-def refine_R(A0, A1, A2, R0, *, tol: float = 1e-12,
-             max_steps: int = 8,
-             backend: str | None = None,
-             return_info: bool = False):
-    """Newton refinement of a warm-start iterate for ``R``.
-
-    Newton's method on ``F(R) = A0 + R A1 + R^2 A2``: the Fréchet
-    derivative at ``R`` maps ``H`` to ``H (A1 + R A2) + R H A2``, so
-    each step solves that generalized Sylvester equation for the
-    correction ``H``.  Small phase dimensions use the dense Kronecker
-    linearization (a ``d^2 x d^2`` solve); past the backend selector's
-    threshold on the linearized size ``d^2``, the correction comes
-    from the matrix-free GMRES solve of
-    :func:`repro.kernels.kron.solve_sylvester` instead — the
-    ``d^2 x d^2`` operand is never materialized.  Quadratically
-    convergent from a good seed.
-
-    Returns the refined ``R`` once the quadratic residual drops below
-    ``tol * max(1, max|A1|)`` and ``sp(R) < 1``, or ``None`` when the
-    refinement fails to converge (the caller falls back to a cold
-    solve) — this is an opportunistic accelerator, never an error
-    source.  It is intentionally *not* part of :data:`METHODS`: it
-    cannot solve from scratch.  With ``return_info=True`` a successful
-    refinement returns ``(R, newton_steps)`` instead (failures are
-    still ``None``).
-    """
-    A0 = np.asarray(A0, dtype=np.float64)
-    A1 = np.asarray(A1, dtype=np.float64)
-    A2 = np.asarray(A2, dtype=np.float64)
-    R = np.asarray(R0, dtype=np.float64).copy()
-    d = A1.shape[0]
-    if R.shape != A1.shape:
-        return None
-    matrix_free = select_backend(backend, d * d, site="rsolve") == "sparse"
-    if matrix_free:
-        maybe_fault("kernels.sparse", key="refine_R")
-    scale = max(1.0, float(np.max(np.abs(A1))))
-    target = max(tol, 1e-14) * scale
-    I = np.eye(d)
-    prev_resid = np.inf
-    steps = 0
-    for _ in range(max_steps):
-        F = A0 + R @ A1 + R @ R @ A2
-        resid = float(np.max(np.abs(F)))
-        if not np.isfinite(resid):
-            return None
-        if resid <= target:
-            break
-        if resid >= prev_resid:  # diverging: the seed was too far off
-            return None
-        prev_resid = resid
-        steps += 1
-        if matrix_free:
-            H = solve_sylvester(R, A1 + R @ A2, A2, F, tol=tol)
-            if H is None:
-                return None
-            R = R + H
-            continue
-        # vec-row-major: vec(A H B) = (A kron B^T) vec(H).
-        M = np.kron(I, (A1 + R @ A2).T) + np.kron(R, A2.T)
-        try:
-            h = np.linalg.solve(M, -F.ravel())
-        except np.linalg.LinAlgError:
-            return None
-        R = R + h.reshape(d, d)
-    else:
-        F = A0 + R @ A1 + R @ R @ A2
-        resid = float(np.max(np.abs(F)))
-        if not (np.isfinite(resid) and resid <= target):
-            return None
-    if not np.all(np.isfinite(R)):
-        return None
-    # The minimal solution is the unique *nonnegative* solvent with
-    # sp(R) < 1; Newton from a far-off seed can land on a different
-    # solvent (one of its eigenvalues sits on the unit circle and it
-    # has negative entries), so both checks are required.
-    if float(R.min()) < -1e-8 * max(1.0, float(np.max(np.abs(R)))):
-        return None
-    sp = float(np.max(np.abs(np.linalg.eigvals(R))))
-    if sp >= 1.0:
-        return None
-    if return_info:
-        return R, steps
-    return R
-
-
 def _solve_r_substitution(A0, A1, A2, *, tol: float, max_iter: int,
-                          R0: np.ndarray | None = None,
                           deadline: float | None = None,
                           ) -> tuple[np.ndarray, int]:
     neg_A1_inv = np.linalg.inv(-A1)
-    if R0 is None:
-        R = A0 @ neg_A1_inv  # first substitution step from R=0
-    else:
-        R = R0
+    R = A0 @ neg_A1_inv  # first substitution step from R=0
     delta = float("inf")
     for it in range(1, max_iter + 1):
         _check_deadline(deadline, "successive substitution", it - 1, delta)

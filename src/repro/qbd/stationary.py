@@ -151,7 +151,6 @@ class QBDStationaryDistribution:
 def solve_qbd(process: QBDProcess, *, method: str = "logreduction",
               tol: float = 1e-12, require_stable: bool = True,
               resilience: ResiliencePolicy | None = DEFAULT_POLICY,
-              R0: np.ndarray | None = None,
               backend: str | None = None,
               ) -> QBDStationaryDistribution:
     """Full matrix-geometric solution of a QBD.
@@ -176,14 +175,9 @@ def solve_qbd(process: QBDProcess, *, method: str = "logreduction",
         turn and the attempt history lands on the result's
         ``solve_report``.  Pass ``None`` to run the single configured
         method with no retries (legacy behaviour).
-    R0:
-        Optional warm-start iterate for the ``R`` solve (see
-        :func:`repro.qbd.rmatrix.solve_R`); used by the fixed-point
-        pipeline to seed each iteration with the previous one's ``R``.
     backend:
-        Kernel selection (``"auto"`` / ``"dense"`` / ``"sparse"``),
-        threaded to the ``R`` refinement and the boundary solve; see
-        :mod:`repro.kernels`.
+        Kernel selection (``"auto"`` / ``"dense"`` / ``"sparse"``) for
+        the boundary solve; see :mod:`repro.kernels`.
 
     Raises
     ------
@@ -205,13 +199,12 @@ def solve_qbd(process: QBDProcess, *, method: str = "logreduction",
             drift=report.drift,
         )
     if resilience is None:
-        R = solve_R(process.A0, process.A1, process.A2, method=method, tol=tol,
-                    R0=R0, backend=backend)
+        R = solve_R(process.A0, process.A1, process.A2, method=method, tol=tol)
         solve_report = None
     else:
         R, solve_report = resilient_solve_R(
             process.A0, process.A1, process.A2, method=method, tol=tol,
-            policy=resilience, R0=R0, backend=backend)
+            policy=resilience)
     pi = solve_boundary(process, R, backend=backend)
     return QBDStationaryDistribution(boundary_pi=tuple(pi), R=R,
                                      drift_report=report,

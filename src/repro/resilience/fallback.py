@@ -127,16 +127,11 @@ class AttemptRecord:
     iterations: int | None
     residual: float | None
     elapsed: float
-    #: Kernel backend the attempt ran with (``None``: pre-backend
-    #: record, equivalent to ``"auto"``).
-    backend: str | None = None
 
     def describe(self) -> str:
         detail = "" if self.error is None else f": {self.error}"
-        bk = f" backend={self.backend}" if self.backend else ""
         return (f"{self.method}[#{self.attempt} tol={self.tol:.3g}"
-                f"{f' reg={self.regularization:.1g}' if self.regularization else ''}"
-                f"{bk}]"
+                f"{f' reg={self.regularization:.1g}' if self.regularization else ''}]"
                 f" -> {self.outcome}{detail}")
 
     def to_dict(self) -> dict:
@@ -145,7 +140,8 @@ class AttemptRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttemptRecord":
-        # Tolerate records written before ``backend`` existed.
+        # Unknown keys are ignored: records written while attempts
+        # still carried a ``backend`` field load unchanged.
         return cls(**{f: data.get(f, None) for f in cls.__dataclass_fields__})
 
 
@@ -229,26 +225,11 @@ def _method_max_iter(method: str) -> int:
 def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                       tol: float = 1e-12,
                       policy: ResiliencePolicy | None = None,
-                      R0: np.ndarray | None = None,
-                      backend: str | None = None,
                       ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``R^2 A2 + R A1 + A0 = 0`` with fallback, retries, budgets.
 
     Returns ``(R, report)`` on the first attempt that passes
-    validation.  ``R0`` is an optional warm-start iterate forwarded to
-    every :func:`~repro.qbd.rmatrix.solve_R` attempt (each method uses
-    or ignores it as described there); the attempt is still validated
-    against the acceptance residual, so a stale seed can only cost a
-    retry, never a wrong answer.
-
-    The chain is backend-aware: ``backend`` is forwarded to every
-    attempt, and the first failure of an attempt whose backend engages
-    the sparse kernels downgrades the remaining attempts of that
-    method (and the rest of the chain) to ``backend="dense"`` — a
-    sparse-path defect costs one extra attempt, never the solve.  The
-    downgrade attempt is granted on top of
-    ``max_attempts_per_method`` and skips the tolerance adjustments,
-    since the failure says nothing about the tolerance.
+    validation.
 
     Raises
     ------
@@ -259,7 +240,6 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
         Every method and retry failed within budget (``exc.report``
         attached).
     """
-    from repro.kernels import select_backend
     from repro.qbd.rmatrix import solve_R
 
     policy = policy or DEFAULT_POLICY
@@ -268,14 +248,6 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
     A0 = np.asarray(A0, dtype=np.float64)
     A1 = np.asarray(A1, dtype=np.float64)
     A2 = np.asarray(A2, dtype=np.float64)
-    d = A1.shape[0]
-
-    def _sparse_active(bk: str | None) -> bool:
-        # Mirrors refine_R: the only sparse path in the R solve is the
-        # matrix-free Newton correction on the d^2-sized linearization.
-        return select_backend(bk, d * d, site="rsolve") == "sparse"
-
-    cur_backend = backend
 
     report = SolveReport()
     t0 = time.monotonic()
@@ -312,8 +284,6 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
         attempt_tol = tol
         regularization = 0.0
         budget_attempts = max(1, retry.max_attempts_per_method)
-        if _sparse_active(cur_backend):
-            budget_attempts += 1  # the dense downgrade is a bonus attempt
         attempt = 0
         while attempt < budget_attempts:
             _out_of_budget()
@@ -328,8 +298,7 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
             t_attempt = time.monotonic()
             try:
                 R, info = solve_R(A0, A1_eff, A2, method=m, tol=attempt_tol,
-                                  max_iter=max_iter, R0=R0,
-                                  backend=cur_backend, return_info=True,
+                                  max_iter=max_iter, return_info=True,
                                   deadline=deadline)
             except (ConvergenceError, np.linalg.LinAlgError) as exc:
                 elapsed = time.monotonic() - t_attempt
@@ -343,16 +312,9 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                     method=m, attempt=attempt, tol=attempt_tol,
                     regularization=regularization, outcome="error",
                     error=f"{type(exc).__name__}: {exc}",
-                    iterations=iters, residual=resid, elapsed=elapsed,
-                    backend=cur_backend))
+                    iterations=iters, residual=resid, elapsed=elapsed))
                 metrics.inc("fallback.attempts", method=m, outcome="error")
                 attempt += 1
-                if _sparse_active(cur_backend):
-                    # Sparse-path failure: fall back to the dense chain
-                    # without touching the tolerance schedule.
-                    cur_backend = "dense"
-                    metrics.inc("fallback.backend_downgrades", method=m)
-                    continue
                 # Ran out of steam: relax the tolerance, add a tiny
                 # killing rate to break near-singularity.
                 attempt_tol *= retry.tol_relax
@@ -370,8 +332,7 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                     method=m, attempt=attempt, tol=attempt_tol,
                     regularization=regularization, outcome="ok", error=None,
                     iterations=info.iterations, residual=float(np.max(np.abs(
-                        R @ R @ A2 + R @ A1 + A0))), elapsed=elapsed,
-                    backend=cur_backend))
+                        R @ R @ A2 + R @ A1 + A0))), elapsed=elapsed))
                 metrics.inc("fallback.attempts", method=m, outcome="ok")
                 metrics.inc("fallback.solves", status="ok",
                             fallback=attempt > 0 or m != chain[0])
@@ -382,15 +343,9 @@ def resilient_solve_R(A0, A1, A2, *, method: str = "logreduction",
                 method=m, attempt=attempt, tol=attempt_tol,
                 regularization=regularization, outcome="invalid",
                 error=reason, iterations=info.iterations,
-                residual=info.residual, elapsed=elapsed, backend=cur_backend))
+                residual=info.residual, elapsed=elapsed))
             metrics.inc("fallback.attempts", method=m, outcome="invalid")
             attempt += 1
-            if _sparse_active(cur_backend):
-                # A sparse-path attempt produced a bad answer: retry
-                # dense before blaming the tolerance.
-                cur_backend = "dense"
-                metrics.inc("fallback.backend_downgrades", method=m)
-                continue
             # Converged to a bad answer: tighten, drop regularization.
             attempt_tol *= retry.tol_tighten
             regularization = 0.0

@@ -29,13 +29,10 @@ Instrumented sites
     the swept value.
 ``"kernels.sparse"``
     The sparse kernel paths: ``key`` is ``"boundary"`` (entry of the
-    block-tridiagonal boundary solver) or ``"refine_R"`` (the
-    matrix-free Newton refinement).  Raise-style; injecting
+    block-tridiagonal boundary solver).  Raise-style; injecting
     :class:`~repro.errors.ConvergenceError` here proves the dense
-    fallbacks — :func:`repro.qbd.boundary.solve_boundary` reverts to
-    the dense system and
-    :func:`repro.resilience.fallback.resilient_solve_R` downgrades the
-    failing attempt's backend to ``"dense"``.
+    fallback — :func:`repro.qbd.boundary.solve_boundary` reverts to
+    the dense system.
 
 Usage (tests)
 -------------

@@ -176,10 +176,11 @@ class EngineSpec:
     checkpoint: str | None = None
     #: Batched sweep chunk width: solve up to this many adjacent grid
     #: points at once through :mod:`repro.workloads.batched` (stacked
-    #: BLAS, continuation warm-starts, adaptive backend crossover).
-    #: ``0`` (default) and ``1`` keep the per-point path.  Unlike
-    #: ``workers``, this knob participates in the scenario's semantic
-    #: hash: continuation changes which warm starts each point sees.
+    #: BLAS, adaptive backend crossover).  ``0`` (default) and ``1``
+    #: keep the per-point path.  Unlike ``workers``, this knob
+    #: participates in the scenario's semantic hash: stacked BLAS
+    #: rounds differently from per-point calls, so batched results can
+    #: differ from per-point ones in the last bits.
     batch_points: int = 0
     # Simulation knobs.
     horizon: float = 20_000.0

@@ -31,16 +31,14 @@ Robustness semantics:
   the same requests reproduces byte-identical results (each sweep point
   is an independent solve, so a shard equals the corresponding point of
   a full-grid run bit for bit).
-* **Adjacency-preserving shards** — when the scenario engages the
-  batched sweep engine (``engine.batch_points > 1``), cold points are
-  grouped into shards of up to ``batch_points`` *consecutive* grid
-  values (a store-hit gap splits the run), so continuation warm-starts
-  survive sharding: every point in a shard seeds from its real sweep
-  neighbor.  ``batch_points`` is part of result identity
-  (:func:`~repro.scenario.hashing.point_key`), so batched and
-  per-point store entries never alias; within a batched request,
-  point-level entries carry the warm-started values, identical to the
-  per-point path within the engine's 1e-8 parity budget.
+* **Batched shards** — when the scenario engages the batched sweep
+  engine (``engine.batch_points > 1``), cold points are grouped into
+  shards of up to ``batch_points`` grid values.  Every point solves
+  cold and the stacked kernels are composition independent, so a
+  shard's points are byte-identical to the same points of a full-grid
+  run, whatever store hits lie between them.  ``batch_points`` is part
+  of result identity (:func:`~repro.scenario.hashing.point_key`), so
+  batched and per-point store entries never alias.
 
 Every stage is observable: ``service.requests{status=...}``,
 ``service.shards{source=store|solve|error|timeout}``,
@@ -426,29 +424,16 @@ class ScenarioService:
 
     @staticmethod
     def _plan_shards(scenario, misses: list) -> list[list]:
-        """Group cold points into adjacency-preserving shards.
+        """Group cold points into shards.
 
         ``misses`` is ``(grid index, value, point key)`` tuples in grid
         order.  Without batching every point is its own shard (the
-        historical behavior).  With ``engine.batch_points > 1``, runs
-        of *consecutive* grid indices are chunked up to that size — a
-        store-hit gap splits the run, because continuation across the
-        gap would seed from a neighbor the shard does not contain.
+        historical behavior); with ``engine.batch_points > 1`` the
+        misses are chunked up to that size, store-hit gaps and all.
         """
         batch = int(getattr(scenario.engine, "batch_points", 0) or 0)
         size = batch if (batch > 1 and scenario.axis is not None) else 1
-        chunks: list[list] = []
-        run: list = []
-        prev = None
-        for item in misses:
-            if run and (len(run) >= size or item[0] != prev + 1):
-                chunks.append(run)
-                run = []
-            run.append(item)
-            prev = item[0]
-        if run:
-            chunks.append(run)
-        return chunks
+        return [misses[i:i + size] for i in range(0, len(misses), size)]
 
     def _solve_request(self, request: Request, scenario, key: str,
                        t0: float, deadline: float | None) -> dict:

@@ -12,37 +12,32 @@ sweep chunk through the same fixed-point iteration simultaneously*:
   per-class saturation, Aitken windows, identical convergence tests),
   so a batched point's trajectory is the serial trajectory.
 * The per-class linear algebra of one lockstep iteration — drift
-  tests, warm Newton refinements, logarithmic reductions, dense
-  boundary solves — is gathered across points, grouped by matrix
-  shape, and dispatched as ``(njobs, m, m)`` stacked kernels
-  (:mod:`repro.kernels.batched`).  Points converge and drop out of the
-  batch individually; any per-slice failure falls back to the serial
-  resilience chain for just that point.
+  tests, logarithmic reductions, dense boundary solves — is gathered
+  across points, grouped by matrix shape, and dispatched as
+  ``(njobs, m, m)`` stacked kernels (:mod:`repro.kernels.batched`).
+  Points converge and drop out of the batch individually; any
+  per-slice failure falls back to the serial resilience chain for just
+  that point.
 
-Continuation
-------------
+Chunks
+------
 Chunks are anchored to the *sorted unique grid*: chunk ``k`` covers
-sorted values ``[k*batch, (k+1)*batch)``.  The chunk head (its lowest
-value) solves cold and its converged per-class ``R`` matrices seed the
-``R0`` warm starts of every other point in the chunk via the existing
-``solve_R(..., R0=)`` hook.  Seeding ``R`` (solved to ``1e-12``) does
-not move the fixed point's ``1e-5`` stopping test, so batched results
-match cold per-point solves to well under ``1e-8``; vacation-level
-continuation would shift the stopping iterate and is deliberately not
-done.  Head seeds are journaled (``cont`` field on the head's point
-record), so a killed-and-resumed batched sweep reseeds pending points
-with the exact numbers the interrupted run used — chunk anchoring plus
-composition-independent kernels make the resume byte-identical.  The
-chunk-local lineage (a chunk never seeds from outside itself) is what
-lets the service daemon shard a batched sweep by chunk without
-changing any point's bytes.
+sorted values ``[k*batch, (k+1)*batch)``, and every pending point of a
+chunk goes through one lockstep run.  Every point solves cold — no
+point reads anything from another — and the stacked kernels are
+composition independent, so a point's bytes do not depend on which
+other points share its batch.  That is what makes a killed-and-resumed
+batched sweep byte-identical to an uninterrupted one, and what lets the
+service daemon shard a batched sweep without changing any point.
+Journals written by older versions carry a ``cont`` field on chunk
+heads; it is ignored.
 
 Adaptive backend crossover
 --------------------------
 In ``backend="auto"`` mode on grids with at least three chunks, the
-first two chunks act as probes: chunk 0's head solves with the dense
-kernels, chunk 1's head with the sparse ones (tail points stay on the
-static policy), and the heads' per-stage timings pick
+first two chunks act as probes: chunk 0's head solves alone with the
+dense kernels, chunk 1's head alone with the sparse ones (tail points
+stay on the static policy), and the heads' per-stage timings pick
 a per-site winner (:func:`repro.kernels.adaptive.pick_winners`) that
 is armed for every later chunk.  Probe timings ride on the heads'
 journal records, so a resumed sweep re-derives the same winners; a
@@ -80,6 +75,7 @@ from repro.pipeline.extract import _off_diag, extract_effective_quantum
 from repro.policy import resolve_policy
 from repro.kernels.sparse import row_sums, sub_dense
 from repro.qbd.boundary import solve_boundary
+from repro.qbd.rmatrix import solve_R
 from repro.qbd.stability import DriftReport, drift
 from repro.qbd.stationary import QBDStationaryDistribution
 from repro.resilience.fallback import resilient_solve_R
@@ -89,7 +85,7 @@ __all__ = ["plan_chunks", "run_batched_pending"]
 
 
 def plan_chunks(values, batch: int) -> list[list[float]]:
-    """Anchored continuation chunks of a grid.
+    """Anchored chunks of a grid.
 
     Chunks partition the *sorted unique* values into runs of ``batch``
     adjacent points.  The anchoring is positional, so the chunk layout
@@ -105,20 +101,13 @@ class _Task:
     """One grid point advancing through the lockstep iteration."""
 
     def __init__(self, value: float, config, model: GangSchedulingModel,
-                 opts, seed: list | None):
+                 opts):
         self.value = value
         self.config = config
         self.model = model
         self.opts = opts
         self.ctx = SolveContext.create(config, opts)
         self.pol = resolve_policy(model.policy)
-        self.seed = seed
-        self.warm = False
-        if seed is not None:
-            for p, R in enumerate(seed):
-                if R is not None and p < len(self.ctx.classes):
-                    self.ctx.classes[p].R = np.asarray(R, dtype=np.float64)
-                    self.warm = True
         self.vacations: list[PhaseType] = []
         self.result = FixedPointResult(spaces=[], processes=[], solutions=[],
                                        vacations=[])
@@ -128,21 +117,23 @@ class _Task:
         self.eff_hist: list[np.ndarray] = []
         self.error: BaseException | None = None
         self.finished = False
-        self.started = time.perf_counter()
-        self.elapsed = 0.0
 
     @property
     def L(self) -> int:
         return self.config.num_classes
 
+    @property
+    def elapsed(self) -> float:
+        """This point's own solve seconds: its shares of the batched
+        stages plus its own reduce and recombine time."""
+        return sum(self.ctx.timings.as_dict().values())
+
     def fail(self, exc: BaseException) -> None:
         self.error = exc
         self.finished = True
-        self.elapsed = time.perf_counter() - self.started
 
     def finish(self) -> None:
         self.finished = True
-        self.elapsed = time.perf_counter() - self.started
 
 
 class _Job:
@@ -242,7 +233,6 @@ def _saturate(j: _Job) -> None:
 def _complete(j: _Job) -> None:
     j.art.saturated = False
     j.art.solution = j.sol
-    j.art.R = j.R
     j.done = True
 
 
@@ -290,59 +280,32 @@ def _stage_stability(tasks: list[_Task], jobs: list[_Job]) -> None:
 
 
 def _stage_rsolve(tasks: list[_Task], jobs: list[_Job]) -> None:
-    """Cold solves are batched; warm solves follow the serial refine.
+    """Logarithmic reductions are batched; other methods run serially.
 
-    A job with a warm ``R`` from the previous fixed-point iteration is
-    what the serial path hands to its Newton refinement — whose route
-    (dense Kronecker solve vs matrix-free GMRES) depends on the backend
-    policy.  Replicating that per job keeps the batched trajectory on
-    the serial one bit for bit; near saturation the output is sensitive
-    enough that even a ``1e-12`` difference in a converged ``R`` shows
-    up at ``1e-8`` in the response times.  Cold solves (the first
-    iterations) run the stacked logarithmic reduction, which mirrors
-    the serial cold recurrence exactly.
+    Jobs configured for ``logreduction`` (the default) run the stacked
+    cold solve, which mirrors the serial recurrence step for step.
+    Other methods, and slices the stacked kernel flags as failed, go
+    through the serial solve with the job's resilience policy.
     """
     t0 = time.perf_counter()
     groups: dict[int, list[_Job]] = {}
     serial: list[_Job] = []
     for j in jobs:
-        opts = j.task.opts
-        if opts.rmatrix_method != "logreduction":
+        if j.task.opts.rmatrix_method == "logreduction":
+            groups.setdefault(j.art.process.phase_dim, []).append(j)
+        else:
             serial.append(j)
-            continue
-        d = j.art.process.phase_dim
-        prev = j.art.R if getattr(opts, "warm_start", True) else None
-        if prev is not None and (prev.shape != (d, d)
-                                 or not np.all(np.isfinite(prev))):
-            prev = None  # serial solve_R silently discards such seeds
-        if prev is not None and select_backend(
-                getattr(opts, "backend", None), d * d) == "sparse":
-            # Serial refines this seed matrix-free (GMRES); there is no
-            # bitwise batched twin, so the serial path keeps the bits.
-            serial.append(j)
-            continue
-        groups.setdefault(d, []).append((j, prev))
     for group in groups.values():
-        blocks = [_dense_blocks(j) for j, _ in group]
+        blocks = [_dense_blocks(j) for j in group]
         A0 = bk.stack_blocks([b[0] for b in blocks])
         A1 = bk.stack_blocks([b[1] for b in blocks])
         A2 = bk.stack_blocks([b[2] for b in blocks])
-        R0 = np.zeros_like(A1)
-        seeded = np.zeros(len(group), dtype=bool)
-        for i, (j, prev) in enumerate(group):
-            if prev is not None:
-                R0[i] = prev
-                seeded[i] = True
-        R, refined, ok = bk.batched_solve_R(A0, A1, A2, R0=R0, seeded=seeded)
-        n_ref = int((ok & refined).sum())
-        n_cold = int((ok & ~refined).sum())
-        if n_ref:
-            metrics.inc("rsolve.solves", n_ref, method="logreduction",
-                        refined=True, batched=True)
-        if n_cold:
-            metrics.inc("rsolve.solves", n_cold, method="logreduction",
-                        refined=False, batched=True)
-        for i, (j, _) in enumerate(group):
+        R, ok = bk.batched_solve_R(A0, A1, A2)
+        n_ok = int(ok.sum())
+        if n_ok:
+            metrics.inc("rsolve.solves", n_ok, method="logreduction",
+                        batched=True)
+        for i, j in enumerate(group):
             if ok[i]:
                 j.R = R[i]
             else:
@@ -351,18 +314,14 @@ def _stage_rsolve(tasks: list[_Task], jobs: list[_Job]) -> None:
         try:
             opts = j.task.opts
             process = j.art.process
-            R0 = j.art.R if getattr(opts, "warm_start", True) else None
             if opts.resilience is None:
-                from repro.qbd.rmatrix import solve_R
                 j.R = solve_R(process.A0, process.A1, process.A2,
-                              method=opts.rmatrix_method, tol=1e-12, R0=R0,
-                              backend=getattr(opts, "backend", None))
+                              method=opts.rmatrix_method, tol=1e-12)
             else:
                 j.R, _ = resilient_solve_R(
                     process.A0, process.A1, process.A2,
                     method=opts.rmatrix_method, tol=1e-12,
-                    policy=opts.resilience, R0=R0,
-                    backend=getattr(opts, "backend", None))
+                    policy=opts.resilience)
         except UnstableSystemError:
             _saturate(j)
         except Exception as exc:  # noqa: BLE001 - per-task isolation
@@ -847,32 +806,6 @@ def _solve_tasks(tasks: list[_Task]) -> None:
             metrics.observe("fixed_point.iterations", t.result.iterations)
 
 
-def _final_rs(t: _Task) -> list:
-    """The converged per-class ``R`` matrices (continuation seeds)."""
-    out = []
-    for p in range(t.L):
-        R = t.ctx.classes[p].R
-        out.append(None if R is None else np.asarray(R, dtype=np.float64))
-    return out
-
-
-def _cont_payload(rs: list) -> list:
-    return [None if R is None else R.tolist() for R in rs]
-
-
-def _cont_from_record(rec: dict | None) -> list | None:
-    if not rec:
-        return None
-    cont = rec.get("cont")
-    if not cont:
-        return None
-    try:
-        return [None if R is None else np.asarray(R, dtype=np.float64)
-                for R in cont]
-    except Exception:  # noqa: BLE001 - journal written by another engine
-        return None
-
-
 def _shape_signature(config, pol) -> dict:
     views = pol.views(config)
     return {"P": int(config.processors),
@@ -950,10 +883,10 @@ def run_batched_pending(*, grid, pending, batch: int,
 
     Parameters mirror the serial loop of
     :func:`repro.workloads.sweeps.sweep`; ``finish(slot, point, extra)``
-    journals a completed point (``extra`` carries continuation seeds
-    and probe timings on chunk-head records) and ``done_records`` maps
-    already-journaled values to their raw records (the source of seeds
-    and probe timings on resume).
+    journals a completed point (``extra`` carries probe timings on
+    probe-chunk head records) and ``done_records`` maps
+    already-journaled values to their raw records (the source of probe
+    timings on resume).
     """
     from repro.workloads.sweeps import SweepPoint, _error_point
 
@@ -970,13 +903,14 @@ def run_batched_pending(*, grid, pending, batch: int,
     mode = resolve_backend(model_kwargs.get("backend") or "auto")
     calib = _Calibration(mode, chunks, done_records)
 
-    def make_task(v: float, config, seed, forced: str | None) -> _Task:
+    def make_task(v: float, forced: str | None = None) -> _Task:
         kwargs = dict(model_kwargs)
         if forced is not None:
             kwargs["backend"] = forced
+        config = by_value[v][0][1]
         model = GangSchedulingModel(config, **kwargs)
         opts = model._options(max_iterations, tol, heavy_traffic_only)
-        return _Task(v, config, model, opts, seed)
+        return _Task(v, config, model, opts)
 
     def emit(t: _Task, extra: dict | None) -> BaseException | None:
         """Turn a finished task into points for all its slots."""
@@ -986,7 +920,7 @@ def run_batched_pending(*, grid, pending, batch: int,
                 return t.error
             point = dataclasses.replace(
                 _error_point(t.value, t.config.class_names, t.error),
-                solve_seconds=t.elapsed, warm=t.warm)
+                solve_seconds=t.elapsed)
         else:
             solved = t.model._package(t.result)
             point = SweepPoint(
@@ -997,10 +931,7 @@ def run_batched_pending(*, grid, pending, batch: int,
                 iterations=solved.iterations,
                 converged=solved.converged,
                 solve_seconds=t.elapsed,
-                warm=t.warm,
             )
-        metrics.inc("sweep.points", len(slots),
-                    start="warm" if t.warm else "cold")
         metrics.observe("sweep.point.seconds", t.elapsed)
         for slot, _ in slots:
             finish(slot, point, extra)
@@ -1038,37 +969,24 @@ def run_batched_pending(*, grid, pending, batch: int,
             continue
 
         head_v = chunk[0]
-        head_rs = _cont_from_record(done_records.get(head_v))
         with adaptive.calibrated(decisions or None), \
                 span("sweep.chunk", index=ci, size=len(solvable)):
-            if head_v in solvable:
-                head_task = make_task(head_v, by_value[head_v][0][1],
-                                      None, forced)
-                _solve_tasks([head_task])
-                extra: dict = {}
-                if head_task.error is None:
-                    head_rs = _final_rs(head_task)
-                    if len(chunk) > 1:
-                        extra["cont"] = _cont_payload(head_rs)
-                if forced is not None:
-                    extra["probe"] = calib.record_probe(
-                        ci, head_task.ctx.timings.as_dict())
-                abort = abort or emit(head_task, extra or None)
+            if forced is not None and head_v in solvable:
+                # A probe chunk's head solves alone on the forced
+                # backend: its stage timings feed the calibration.  The
+                # tail stays on the static policy, keeping its numbers
+                # on the serial path's backend choices.
+                head = make_task(head_v, forced)
+                _solve_tasks([head])
+                probe = calib.record_probe(ci, head.ctx.timings.as_dict())
+                abort = emit(head, {"probe": probe})
                 if abort is not None:
                     break
-            elif forced is not None and forced not in calib.timings:
-                # The journaled head lacks probe timings (written by a
-                # per-point run): calibration stays static for safety.
-                pass
-            # Only the head is pinned during probe chunks: it alone
-            # feeds the calibration timings, and leaving the tails on
-            # the static policy keeps their numbers on the serial
-            # path's backend choices.
-            tail = [make_task(v, by_value[v][0][1], head_rs, None)
-                    for v in solvable if v != head_v]
-            if tail:
-                _solve_tasks(tail)
-                for t in tail:
+                solvable.remove(head_v)
+            tasks = [make_task(v) for v in solvable]
+            if tasks:
+                _solve_tasks(tasks)
+                for t in tasks:
                     abort = abort or emit(t, None)
         if abort is not None:
             break

@@ -19,8 +19,8 @@ See :mod:`repro.resilience.checkpoint`.
 Parallelism
 -----------
 Pass ``workers=N`` to solve grid points in ``N`` OS processes.  Each
-point is an independent model solve (its own artifact cache, its own
-warm starts), so a parallel sweep produces bit-identical points to a
+point is an independent model solve (its own artifact cache), so a
+parallel sweep produces bit-identical points to a
 serial one; journaling stays in the parent, appending points as they
 complete (in any order — resume is keyed by value, not position), so
 parallel sweeps compose with checkpointing unchanged.
@@ -65,15 +65,12 @@ class SweepPoint:
     #: ``"moment"``, ``"saturated"``, ``"unsupported"``).
     dist_kinds: tuple[str, ...] | None = None
     #: Wall-clock seconds spent solving this point (``None`` when the
-    #: point predates the field or errored before solving).  Not
-    #: part of equality: two runs of the same sweep produce equal
+    #: point predates the field or errored before solving).  The
+    #: batched engine reports the point's own share of each lockstep
+    #: stage, so the points of one sweep never sum past its wall time.
+    #: Not part of equality: two runs of the same sweep produce equal
     #: points even though their timings differ.
     solve_seconds: float | None = field(default=None, compare=False)
-    #: Whether the solve was continuation-seeded (``True``), cold
-    #: (``False``) or solved by an engine that does not track warm
-    #: starts (``None``).  Not part of equality either: a warm solve
-    #: and a cold solve of the same point agree to solver tolerance.
-    warm: bool | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -118,7 +115,7 @@ class SweepResult:
 
 
 def _point_record(pt: SweepPoint) -> dict:
-    # ``solve_seconds`` / ``warm`` are run-local provenance and are
+    # ``solve_seconds`` is run-local provenance and is
     # deliberately NOT journaled: the journal of a resumed run must be
     # byte-identical to an uninterrupted one, and wall times are not.
     rec = {
@@ -306,9 +303,9 @@ def sweep(parameter: str, values: Sequence[float],
     batch:
         Solve up to this many adjacent grid points at once through the
         batched lockstep engine (:mod:`repro.workloads.batched`):
-        stacked BLAS across points, continuation warm-starts within
-        each chunk, and (in ``backend="auto"`` mode) an adaptive
-        dense/sparse crossover calibrated on the first chunks.
+        stacked BLAS across points and (in ``backend="auto"`` mode) an
+        adaptive dense/sparse crossover calibrated on the first
+        chunks.
         ``None``/``0``/``1`` keeps the per-point path; ``workers``
         takes precedence (worker processes already amortize the
         per-point overhead the batch engine targets).
@@ -343,7 +340,7 @@ def sweep(parameter: str, values: Sequence[float],
     journal = SweepJournal(checkpoint) if checkpoint is not None else None
     done: dict[float, SweepPoint] = {}
     #: Raw journal records by value — the batched engine reads its
-    #: continuation seeds and probe timings back from these on resume.
+    #: probe timings back from these on resume.
     done_records: dict[float, dict] = {}
     result: SweepResult | None = None
     header_written = False
@@ -423,9 +420,9 @@ def sweep(parameter: str, values: Sequence[float],
         if journal is not None:
             rec = _point_record(point)
             if extra:
-                # Batched-engine payloads (continuation seeds, probe
-                # timings) ride on the point record; resume hands them
-                # back through ``done_records``.
+                # Batched-engine probe timings ride on the point
+                # record; resume hands them back through
+                # ``done_records``.
                 rec.update(extra)
             journal.append(rec)
 

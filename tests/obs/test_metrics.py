@@ -246,7 +246,7 @@ class TestRsolveMetricsIntegration:
         solve_R(A0, A1, A2, method="logreduction")
         snap = metrics.snapshot()
         assert snap["counters"][
-            "rsolve.solves{method=logreduction,refined=False}"] == 1.0
+            "rsolve.solves{method=logreduction}"] == 1.0
         hist = snap["histograms"][
             "rsolve.iterations{method=logreduction}"]
         assert hist["count"] == 1.0 and hist["max"] >= 1.0

@@ -1,99 +1,36 @@
-"""Backend-aware resilience: sparse-path failures downgrade to dense.
+"""Kernel backends and the resilient solve: every backend, same answer.
 
-A defect in the sparse kernels (proven here by fault injection at the
-``"kernels.sparse"`` site) must cost at most one extra attempt — the
-resilient solve retries the same method on the dense kernels instead
-of burning the tolerance schedule or failing the solve.
+The ``R`` solve has no backend-dependent path; the ``backend`` knob of
+:func:`repro.qbd.stationary.solve_qbd` reaches only the boundary solve.
+Whichever backend is asked for, the resilient solve must land on the
+same stationary distribution.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError
-from repro.qbd.rmatrix import solve_R
-from repro.resilience import faults
-from repro.resilience.fallback import resilient_solve_R
+from repro.qbd import QBDProcess, solve_qbd
 
 
-def phase_qbd(d=8, lam=0.4, mu=1.0, sw=0.2):
-    """A ``d``-phase QBD (cyclic phase switching) — big enough that
-    ``backend="sparse"`` engages the matrix-free Newton path
-    (``d^2 >= 48``)."""
+def phase_process(d=10, lam=0.4, mu=1.0, sw=0.2):
+    """A ``d``-phase QBD with cyclic phase switching."""
     A0 = lam * np.eye(d)
     A2 = mu * np.eye(d)
     A1 = -(lam + mu + sw) * np.eye(d)
     for i in range(d):
         A1[i, (i + 1) % d] = sw
-    return A0, A1, A2
-
-
-class TestSparseDowngrade:
-    def test_refine_fault_downgrades_to_dense(self):
-        A0, A1, A2 = phase_qbd()
-        # Warm seed so solve_R enters the (faulted) Newton refinement.
-        R0 = solve_R(A0, A1, A2)
-        with faults.inject("kernels.sparse", raises=ConvergenceError,
-                           keys=("refine_R",)) as spec:
-            R, report = resilient_solve_R(A0, A1, A2, R0=R0,
-                                          backend="sparse")
-            assert spec.fired >= 1
-        assert report.succeeded
-        assert np.allclose(R, R0, atol=1e-8)
-        # First attempt ran sparse and failed; the bonus attempt reran
-        # the same method dense and won.
-        first, second = report.attempts[0], report.attempts[1]
-        assert first.outcome == "error"
-        assert first.backend == "sparse"
-        assert "injected fault" in first.error
-        assert second.outcome == "ok"
-        assert second.backend == "dense"
-        assert second.method == first.method
-        # The downgrade skipped the tolerance schedule.
-        assert second.tol == first.tol
-
-    def test_downgrade_is_bonus_attempt(self):
-        """The dense retry must not consume the per-method budget."""
-        A0, A1, A2 = phase_qbd()
-        R0 = solve_R(A0, A1, A2)
-        with faults.inject("kernels.sparse", raises=ConvergenceError,
-                           keys=("refine_R",)):
-            _, report = resilient_solve_R(A0, A1, A2, R0=R0,
-                                          backend="sparse")
-        # One sparse failure + one dense success, within the first
-        # method — no fallback to a different algorithm.
-        assert len(report.attempts) == 2
-        assert report.attempts[0].method == report.attempts[1].method
-
-    def test_dense_backend_unaffected_by_fault(self):
-        A0, A1, A2 = phase_qbd()
-        R0 = solve_R(A0, A1, A2)
-        with faults.inject("kernels.sparse", raises=ConvergenceError,
-                           keys=("refine_R",)) as spec:
-            _, report = resilient_solve_R(A0, A1, A2, R0=R0,
-                                          backend="dense")
-            assert spec.fired == 0
-        assert report.attempts[0].outcome == "ok"
-        assert report.attempts[0].backend == "dense"
-
-    def test_small_system_sparse_mode_stays_dense(self):
-        """Below the size threshold ``backend="sparse"`` is a no-op, so
-        the fault never fires and no bonus attempt is granted."""
-        A0, A1, A2 = phase_qbd(d=3)
-        R0 = solve_R(A0, A1, A2)
-        with faults.inject("kernels.sparse", raises=ConvergenceError,
-                           keys=("refine_R",)) as spec:
-            _, report = resilient_solve_R(A0, A1, A2, R0=R0,
-                                          backend="sparse")
-            assert spec.fired == 0
-        assert report.succeeded
-        assert len(report.attempts) == 1
+    # Level 0 reflects the down-rates back onto the diagonal.
+    return QBDProcess(boundary=((A1 + A2, A0), (A2, A1)),
+                      A0=A0, A1=A1, A2=A2)
 
 
 class TestEndToEndParity:
     @pytest.mark.parametrize("backend", ["dense", "sparse", "auto", None])
     def test_backends_agree(self, backend):
-        A0, A1, A2 = phase_qbd(d=10)
-        R_ref, _ = resilient_solve_R(A0, A1, A2, backend="dense")
-        R, report = resilient_solve_R(A0, A1, A2, backend=backend)
-        assert report.succeeded
-        assert np.allclose(R, R_ref, atol=1e-9)
+        process = phase_process()
+        ref = solve_qbd(process, backend="dense")
+        sol = solve_qbd(process, backend=backend)
+        assert sol.solve_report.succeeded
+        assert np.allclose(sol.R, ref.R, atol=1e-9)
+        for a, b in zip(sol.boundary_pi, ref.boundary_pi):
+            assert np.allclose(a, b, atol=1e-9)

@@ -231,28 +231,34 @@ class TestReportSerialization:
         base = dict(method="cr", attempt=1, tol=1e-12,
                     regularization=1e-10, outcome="invalid",
                     error="R spectral radius 1.01 >= 1",
-                    iterations=17, residual=3.2e-9, elapsed=0.05,
-                    backend="sparse")
+                    iterations=17, residual=3.2e-9, elapsed=0.05)
         base.update(overrides)
         return AttemptRecord(**base)
 
     def test_attempt_record_roundtrip(self):
         rec = self.make_record()
         data = rec.to_dict()
-        assert data["backend"] == "sparse"
+        assert "backend" not in data
         assert AttemptRecord.from_dict(json.loads(json.dumps(data))) == rec
 
     def test_attempt_record_tolerates_pre_backend_dicts(self):
-        data = self.make_record().to_dict()
-        del data["backend"]  # record written before the backend field
+        data = self.make_record().to_dict()  # no backend key, as before
         rec = AttemptRecord.from_dict(data)
-        assert rec.backend is None
+        assert rec == self.make_record()
         assert rec.method == "cr"
+
+    def test_attempt_record_ignores_legacy_backend_key(self):
+        # Records written while attempts carried their kernel backend
+        # still load; the key is dropped.
+        data = {**self.make_record().to_dict(), "backend": "sparse"}
+        rec = AttemptRecord.from_dict(json.loads(json.dumps(data)))
+        assert rec == self.make_record()
+        assert not hasattr(rec, "backend")
 
     def test_solve_report_roundtrip(self):
         report = SolveReport(method="cr", attempts=[
             self.make_record(method="logreduction", outcome="error",
-                             iterations=None, residual=None, backend=None),
+                             iterations=None, residual=None),
             self.make_record(outcome="ok", error=None),
         ])
         data = json.loads(json.dumps(report.to_dict()))

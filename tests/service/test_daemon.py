@@ -80,6 +80,41 @@ class TestRunPath:
         assert r1["key"] != r2["key"]
 
 
+class TestBatchedShards:
+    GRID = [0.05, 0.25, 0.6, 1.0, 2.0, 4.0]
+
+    def batched(self, grid):
+        return get_scenario("fig2").with_grid(grid).with_engine(
+            batch_points=3)
+
+    def test_shards_chunk_cold_points_by_batch_size_alone(self):
+        misses = [(i, float(i), f"k{i}") for i in (0, 1, 3, 4, 5)]
+        shards = ScenarioService._plan_shards(self.batched(self.GRID),
+                                              misses)
+        assert [[i for i, _, _ in s] for s in shards] == [[0, 1, 3], [4, 5]]
+        per_point = ScenarioService._plan_shards(
+            get_scenario("fig2").with_grid(self.GRID), misses)
+        assert [len(s) for s in per_point] == [1] * len(misses)
+
+    def test_batched_request_matches_full_grid_run(self, service):
+        full = self.batched(self.GRID)
+        fresh = run_result_to_dict(run(dataclasses.replace(
+            full, engine=dataclasses.replace(full.engine, workers=None,
+                                             checkpoint=None))))
+        # A store hit in the middle of the grid: the cold points around
+        # it are sharded across the gap.
+        gap = service.handle({"id": "a", "scenario": scenario_to_dict(
+            self.batched([self.GRID[2]]))})
+        assert gap["status"] == "ok" and gap["solved_points"] == 1
+        r = service.handle({"id": "b",
+                            "scenario": scenario_to_dict(full)})
+        assert r["status"] == "ok" and not r["cached"]
+        assert r["store_points"] == 1
+        assert r["solved_points"] == len(self.GRID) - 1
+        assert canonical_bytes(r["result"]["points"]) == \
+            canonical_bytes(fresh["points"])
+
+
 class TestDegradation:
     def test_deadline_degrades_and_is_never_stored(self, service):
         quick = get_scenario("fig2", grid="quick")

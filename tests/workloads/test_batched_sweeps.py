@@ -1,15 +1,18 @@
-"""Continuation correctness of the batched sweep engine.
+"""Correctness of the batched sweep engine.
 
 The batched engine (:mod:`repro.workloads.batched`) must be an
-*implementation detail*: warm-started lockstep solves agree with cold
-per-point solves to 1e-8 on any grid shape — non-monotone, duplicated,
-or both — and a killed batched sweep resumed from its journal replays
-the exact bytes an uninterrupted run produces.
+*implementation detail*: lockstep solves agree with per-point solves to
+1e-8 on any grid shape — non-monotone, duplicated, or both — and a
+killed batched sweep resumed from its journal replays the exact bytes
+an uninterrupted run produces.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,8 +51,8 @@ class TestContinuationParity:
                          min_size=3, max_size=6))
     @settings(max_examples=10, deadline=None)
     def test_matches_cold_per_point_on_any_grid(self, grid):
-        """Warm-started batched results track cold solves to 1e-8 on
-        grids with duplicates and arbitrary (non-monotone) order."""
+        """Batched results track per-point solves to 1e-8 on grids with
+        duplicates and arbitrary (non-monotone) order."""
         batched = sweep("lambda", grid, tiny_config, batch=3)
         serial = sweep("lambda", grid, tiny_config)
         _assert_points_close(batched, serial)
@@ -70,18 +73,24 @@ class TestContinuationParity:
         _assert_points_close(res, cold)
 
     def test_provenance_fields(self):
-        """Batched points carry wall time and warm/cold status; chunk
-        heads start cold, tails warm-start from the head."""
+        """Batched and per-point points both carry their solve time."""
         grid = [0.3, 0.45, 0.6, 0.75]
         res = sweep("lambda", grid, tiny_config, batch=4)
-        assert all(p.solve_seconds is not None and p.solve_seconds >= 0
+        assert all(p.solve_seconds is not None and p.solve_seconds > 0
                    for p in res.points)
-        warms = [p.warm for p in res.points]  # grid order == sorted here
-        assert warms[0] is False
-        assert all(w is True for w in warms[1:])
         serial = sweep("lambda", grid[:2], tiny_config)
         assert all(p.solve_seconds is not None for p in serial.points)
-        assert all(p.warm is None for p in serial.points)
+
+    def test_solve_seconds_are_per_point_shares(self):
+        """A batched point reports its own share of the lockstep work,
+        not the chunk's wall time: the shares of one sweep sum to at
+        most the sweep's wall time."""
+        grid = list(LOAD_POOL)
+        t0 = time.perf_counter()
+        res = sweep("lambda", grid, tiny_config, batch=len(grid))
+        wall = time.perf_counter() - t0
+        total = sum(p.solve_seconds for p in res.points)
+        assert 0 < total <= wall + 0.01
 
 
 class TestKillAndResume:
@@ -131,3 +140,42 @@ class TestKillAndResume:
                            checkpoint=path)
         assert spec.fired == 0
         assert second.resumed == len(self.GRID)
+
+
+class TestLegacyJournal:
+    """Journals written before every batched point solved cold."""
+
+    GRID = [0.3, 0.45, 0.6, 0.75, 0.9, 1.05]
+    #: Header plus the three chunk-head records of a ``batch=2`` sweep
+    #: of :data:`GRID` written by the continuation engine: each head
+    #: carries the ``cont`` seed field, the two probe heads a ``probe``.
+    LEGACY = pathlib.Path(__file__).parent / "data" / \
+        "legacy_batched_journal.jsonl"
+
+    @pytest.fixture(autouse=True)
+    def isolated_calibration(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_GANG_CALIBRATION",
+                           str(tmp_path / "calibration.json"))
+
+    def test_resume_ignores_cont_and_matches_clean_run(self, tmp_path):
+        legacy = tmp_path / "legacy.jsonl"
+        shutil.copyfile(self.LEGACY, legacy)
+        assert all("cont" in json.loads(ln) for ln in
+                   legacy.read_text().splitlines()[1:])
+        clean = sweep("lambda", self.GRID, tiny_config, batch=2,
+                      checkpoint=tmp_path / "clean.jsonl")
+        resumed = sweep("lambda", self.GRID, tiny_config, batch=2,
+                        checkpoint=legacy)
+
+        assert resumed.resumed == 3
+        assert resumed.points == clean.points
+        for rp, cp in zip(resumed.points, clean.points):
+            assert rp.mean_jobs == cp.mean_jobs
+            assert rp.mean_response_time == cp.mean_response_time
+            assert rp.iterations == cp.iterations
+        assert resumed.render() == clean.render()
+        # The pending points were solved and journaled without a seed.
+        records = [json.loads(ln) for ln in
+                   legacy.read_text().splitlines()[1:]]
+        assert len(records) == len(self.GRID)
+        assert not any("cont" in rec for rec in records[3:])
