@@ -163,12 +163,16 @@ def response_time_distribution(solved: SolvedModel, p: int,
         else:  # pragma: no cover - degenerate
             alpha[idx(m_max, M)] += tail
     alpha = alpha / alpha.sum()
-    return PhaseType(alpha, T)
+    # A sub-generator and a probability vector by construction; the
+    # tests validate every law built over the benchmark grids.
+    return PhaseType.from_trusted(alpha, T)
 
 
 def waiting_time_distribution(solved: SolvedModel, p: int,
                               *, truncation_mass: float = 1e-10,
-                              max_levels: int = 2000) -> PhaseType:
+                              max_levels: int = 2000,
+                              response: PhaseType | None = None,
+                              ) -> PhaseType:
     """Time from arrival until the tagged job first *receives service*.
 
     Same tagged-job chain as :func:`response_time_distribution`, but
@@ -177,10 +181,17 @@ def waiting_time_distribution(solved: SolvedModel, p: int,
     the machine is executing its class.  A job arriving to a free
     partition mid-quantum has waited zero: that probability appears as
     the returned distribution's ``atom_at_zero``.
+
+    ``response`` is the class's law from
+    :func:`response_time_distribution` (built with the same
+    truncation arguments) when the caller already has it; it is built
+    here otherwise.
     """
-    full = response_time_distribution(solved, p,
-                                      truncation_mass=truncation_mass,
-                                      max_levels=max_levels)
+    full = response
+    if full is None:
+        full = response_time_distribution(solved, p,
+                                          truncation_mass=truncation_mass,
+                                          max_levels=max_levels)
     space = solved.classes[p].space
     c = space.partitions
     M = space.m_quantum
@@ -205,4 +216,4 @@ def waiting_time_distribution(solved: SolvedModel, p: int,
     T = S_full[np.ix_(keep, keep)].copy()
     # The initial mass on target states is the waited-zero probability,
     # represented as the PH atom through the alpha deficit.
-    return PhaseType(alpha_full[keep], T)
+    return PhaseType.from_trusted(alpha_full[keep], T)

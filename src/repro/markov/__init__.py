@@ -9,7 +9,9 @@ Provides the classical machinery of Section 2 of the paper:
   stochastic matrices.
 * :func:`~repro.markov.uniformization.uniformize` — the uniformization
   construction of Section 2.4, mapping a CTMC to an equivalent DTMC
-  ``P = Q / q_max + I`` that preserves the stationary vector.
+  ``P = Q / q_max + I`` that preserves the stationary vector, and
+  :func:`~repro.markov.uniformization.poisson_window`, the truncated
+  Poisson weights every uniformized series sums against.
 * :mod:`~repro.markov.absorbing` — fundamental-matrix analysis of
   absorbing chains (absorption probabilities, mean absorption times),
   used to extract effective-quantum distributions in Theorem 4.3.
@@ -35,6 +37,7 @@ from repro.markov.firstpassage import (
     mean_hitting_times,
 )
 from repro.markov.uniformization import (
+    poisson_window,
     transient_distribution,
     uniformization_rate,
     uniformize,
@@ -46,6 +49,7 @@ __all__ = [
     "uniformize",
     "uniformization_rate",
     "transient_distribution",
+    "poisson_window",
     "fundamental_matrix",
     "absorption_probabilities",
     "expected_time_to_absorption",

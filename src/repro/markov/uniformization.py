@@ -15,19 +15,27 @@ representation (a sparse generator yields a sparse ``P``), and the
 transient series is a sequence of vector-matrix products, which is
 exactly where CSR pays — ``O(nnz)`` per Poisson term instead of
 ``O(n^2)``.
+
+:func:`poisson_window` is the one home of the truncated Poisson
+weights every uniformization series here sums against — the transient
+distribution below and the distribution functions of
+:class:`repro.phasetype.PhaseType`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse as _sp
-from scipy import stats
+from scipy import special
 
 from repro.errors import ValidationError
 from repro.kernels import diagonal, is_sparse, row_sums, to_csr
 from repro.utils.validation import check_generator
 
-__all__ = ["uniformization_rate", "uniformize", "transient_distribution"]
+__all__ = ["uniformization_rate", "uniformize", "poisson_window",
+           "transient_distribution"]
 
 
 def uniformization_rate(Q, *, slack: float = 1.0) -> float:
@@ -94,6 +102,37 @@ def uniformize(Q, *, q_max: float | None = None,
     return P, rate
 
 
+def _poisson_quantile(q: float, lam: float) -> int:
+    """Smallest ``k`` with ``P{Poisson(lam) <= k} >= q``.
+
+    The inverse of ``pdtr`` rounded up, stepped back one term where the
+    CDF already reaches ``q`` there (``pdtrik`` solves for a continuous
+    ``k``).
+    """
+    k = math.ceil(special.pdtrik(q, lam))
+    below = max(k - 1, 0)
+    return below if special.pdtr(below, lam) >= q else max(k, 0)
+
+
+def poisson_window(lam: float, tol: float) -> tuple[int, np.ndarray]:
+    """Poisson(``lam``) weights on a window holding ``>= 1 - tol`` of the mass.
+
+    Returns ``(lo, w)`` with ``w[i] = P{Poisson(lam) = lo + i}``.  The
+    window runs from the ``tol/2`` quantile to one term past the
+    ``1 - tol/2`` quantile, so each cut-off tail holds at most
+    ``tol/2``.  Weights are evaluated in log space,
+    ``exp(k log lam - log k! - lam)``, which neither underflows at
+    ``exp(-lam)`` for large ``lam`` nor overflows at ``lam^k``.
+    """
+    if lam <= 0.0:
+        return 0, np.ones(1)
+    conf = 1.0 - tol
+    lo = _poisson_quantile(0.5 * (1.0 - conf), lam)
+    hi = _poisson_quantile(0.5 * (1.0 + conf), lam) + 1
+    k = np.arange(lo, hi + 1, dtype=np.float64)
+    return lo, np.exp(special.xlogy(k, lam) - special.gammaln(k + 1.0) - lam)
+
+
 def transient_distribution(Q, p0: np.ndarray, t: float,
                            *, tol: float = 1e-12) -> np.ndarray:
     """Distribution at time ``t``: ``p0 expm(Q t)`` via Poisson-weighted steps.
@@ -109,16 +148,12 @@ def transient_distribution(Q, p0: np.ndarray, t: float,
     if t == 0.0:
         return p0.copy()
     P, rate = uniformize(Q)
-    lam = rate * t
-    # Two-sided truncation of the Poisson weights.
-    lo, hi = stats.poisson.interval(1.0 - tol, lam)
-    lo, hi = int(max(lo, 0)), int(hi) + 1
-    weights = stats.poisson.pmf(np.arange(0, hi + 1), lam)
+    lo, weights = poisson_window(rate * t, tol)
     out = np.zeros_like(p0)
     v = p0.copy()
-    for k in range(0, hi + 1):
+    for k in range(lo + len(weights)):
         if k >= lo:
-            out += weights[k] * v
+            out += weights[k - lo] * v
         v = np.asarray(v @ P)
     # Renormalize the truncated series.
     s = out.sum()

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 from repro.metrics.quantiles import check_level
 from repro.metrics.selectors import parse_metrics
+from repro.obs.trace import span
 from repro.phasetype import PhaseType
 from repro.phasetype.fitting import fit_moments
 
@@ -135,7 +136,8 @@ class ClassDistributions:
             return 0.0 if q == 0.0 else _INF
         if self.response is None:
             return _NAN
-        return self.response.quantile(q)
+        with span("metrics.quantile", q=q):
+            return self.response.quantile(q)
 
     def cdf(self, t: float) -> float:
         """``P{T_p <= t}`` (``0.0`` saturated, ``nan`` unsupported)."""
@@ -183,6 +185,15 @@ def class_distributions(solved: "SolvedModel", p: int, *,
     Never raises on a saturated or unsupported class — the marker
     kinds degrade gracefully so sweeps keep their grid points.
     """
+    with span("metrics.build", klass=p):
+        return _class_distributions(solved, p,
+                                    truncation_mass=truncation_mass,
+                                    max_levels=max_levels)
+
+
+def _class_distributions(solved: "SolvedModel", p: int, *,
+                         truncation_mass: float,
+                         max_levels: int) -> ClassDistributions:
     from repro.core.response import (
         response_time_distribution,
         waiting_time_distribution,
@@ -204,7 +215,7 @@ def class_distributions(solved: "SolvedModel", p: int, *,
             max_levels=max_levels)
         waiting = waiting_time_distribution(
             solved, p, truncation_mass=truncation_mass,
-            max_levels=max_levels)
+            max_levels=max_levels, response=response)
         return ClassDistributions(
             kind="exact", response=response, waiting=waiting,
             detail="tagged-job phase-type construction (exact)",

@@ -14,8 +14,9 @@ reduces the raw event stream written by :mod:`repro.obs.trace` to:
   (the close-time snapshot plus one per parallel-sweep worker point)
   merged with :func:`repro.obs.metrics.merge_snapshots`: cache
   hits/misses/evictions, backend decisions, fallback attempts,
-  R-solve iterations, dense boundary fallbacks,
-  fault injections, checkpoint writes;
+  R-solve iterations, dense boundary fallbacks, uniformization steps
+  of the phase-type distribution functions, fault injections,
+  checkpoint writes;
 * a **per-request rollup** — spans tagged with a service request ID
   (``"req"``; see :func:`repro.obs.trace.request_scope`) grouped per
   request with span counts, wall time, and the set of pids that worked
@@ -295,11 +296,12 @@ def render_report(summary: TraceSummary) -> str:
     lines += _rollup_section(
         summary, "solver", ("rsolve.", "fallback.", "boundary.",
                             "fixed_point."))
+    lines += _rollup_section(summary, "distributions", ("phasetype.",))
     lines += _rollup_section(
         summary, "resilience", ("faults.", "checkpoint.", "sweep."))
     remaining_prefixes = ("cache.", "backend.", "rsolve.", "fallback.",
-                          "boundary.", "fixed_point.", "faults.",
-                          "checkpoint.", "sweep.")
+                          "boundary.", "fixed_point.", "phasetype.",
+                          "faults.", "checkpoint.", "sweep.")
     snap = summary.metrics
     leftovers = {
         "counters": {k: v for k, v in (snap.get("counters") or {}).items()

@@ -17,9 +17,12 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
+from scipy import sparse
 
 from repro.errors import NotAPhaseTypeError
+from repro.kernels.backend import SPARSE, select_backend
+from repro.markov.uniformization import poisson_window
+from repro.obs import metrics
 from repro.utils.validation import (
     as_float_array,
     check_subgenerator,
@@ -27,6 +30,79 @@ from repro.utils.validation import (
 )
 
 __all__ = ["PhaseType"]
+
+#: Columns of :class:`_UniformizedSeries`: ``alpha P^k e`` and
+#: ``alpha P^k s0``.
+_SURVIVAL, _DENSITY = 0, 1
+
+#: Poisson mass a distribution-function probe may leave out.
+_POISSON_TOL = 1e-14
+
+
+class _UniformizedSeries:
+    """The ``t``-free half of ``alpha exp(S t)``, computed once per law.
+
+    With ``theta = max_i -S[i,i]`` and the substochastic jump matrix
+    ``P = I + S/theta``,
+
+        ``alpha exp(S t) = sum_k Pois(k; theta t) alpha P^k``,
+
+    so ``sf(t) = sum_k Pois(k; theta t) m_k`` with ``m_k = alpha P^k e``
+    and ``pdf(t) = sum_k Pois(k; theta t) d_k`` with
+    ``d_k = alpha P^k s0``.  Neither sequence depends on ``t``: they are
+    built by one ``v <- v P`` pass, extended lazily to the largest
+    Poisson window any probe has needed, and every later probe is
+    ``O(window)`` scalar work.  Each term is a sub-probability vector
+    reduced by a non-negative vector, so the series stays stable where
+    scipy's ``expm`` is not (its triangular shortcut collapses when two
+    diagonal entries differ by ~1 ulp, as for a hypoexponential with
+    nearly equal rates).  The pass runs on CSR when
+    :func:`~repro.kernels.backend.select_backend` picks sparse for ``P``
+    (the tagged-job response chains are well under 1% dense).
+    """
+
+    __slots__ = ("theta", "_op", "_reduce", "_v", "_seq", "_n")
+
+    def __init__(self, alpha: np.ndarray, S: np.ndarray, s0: np.ndarray):
+        m = S.shape[0]
+        self.theta = float(np.max(-np.diag(S)))
+        P = S / self.theta + np.eye(m)
+        np.clip(P, 0.0, None, out=P)
+        fill = np.count_nonzero(P) / (m * m)
+        # Sparse: ``v P`` is computed as ``P^T v``, a CSR matvec.
+        self._op = (sparse.csr_array(P.T)
+                    if select_backend(None, m, fill) == SPARSE else P)
+        self._reduce = np.column_stack([np.ones(m), s0])
+        self._v = alpha.copy()
+        self._seq = np.empty((0, 2))
+        self._n = 0
+
+    def upto(self, k: int) -> np.ndarray:
+        """Rows ``0..k`` of ``[m_k, d_k]``, extending the pass if needed."""
+        n = self._n
+        if k >= n:
+            if k >= len(self._seq):
+                grown = np.empty((max(k + 1, 2 * len(self._seq)), 2))
+                grown[:n] = self._seq[:n]
+                self._seq = grown
+            op = self._op
+            step = (op.__rmatmul__ if isinstance(op, np.ndarray)
+                    else op.__matmul__)
+            seq, v, reduce = self._seq, self._v, self._reduce
+            for j in range(n, k + 1):
+                seq[j] = v @ reduce
+                v = step(v)
+            self._v = v
+            self._n = k + 1
+            if n == 0:
+                metrics.inc("phasetype.uniformization.laws")
+            metrics.inc("phasetype.uniformization.steps", k + 1 - n)
+        return self._seq[:k + 1]
+
+    def mix(self, t: float, column: int) -> float:
+        """``sum_k Pois(k; theta t) seq_k`` for one column of the series."""
+        lo, w = poisson_window(self.theta * t, _POISSON_TOL)
+        return float(w @ self.upto(lo + len(w) - 1)[lo:, column])
 
 
 class PhaseType:
@@ -205,52 +281,33 @@ class PhaseType:
         At ``x = 0`` the limiting density ``alpha s0`` is returned; the
         atom at zero (if any) is not represented in the density.
         """
-        return self._eval(x, lambda E: float(E @ self.exit_rates),
+        return self._eval(x, lambda t: self._series.mix(t, _DENSITY),
                           at_zero=float(self._alpha @ self.exit_rates),
                           below=0.0)
 
     def cdf(self, x) -> np.ndarray | float:
         """CDF ``F(x) = 1 - alpha exp(S x) e`` for ``x >= 0``."""
-        return self._eval(x, lambda E: 1.0 - float(E.sum()),
+        return self._eval(x, lambda t: 1.0 - self._series.mix(t, _SURVIVAL),
                           at_zero=self.atom_at_zero, below=0.0)
 
     def sf(self, x) -> np.ndarray | float:
         """Survival function ``P(X > x) = alpha exp(S x) e``."""
-        return self._eval(x, lambda E: float(E.sum()),
+        return self._eval(x, lambda t: self._series.mix(t, _SURVIVAL),
                           at_zero=1.0 - self.atom_at_zero, below=1.0)
 
     @cached_property
-    def _uniformized(self) -> tuple[np.ndarray, float]:
-        """Substochastic jump matrix ``P = I + S/theta`` and rate ``theta``."""
-        theta = float(np.max(-np.diag(self._S)))
-        P = self._S / theta + np.eye(self.order)
-        np.clip(P, 0.0, None, out=P)
-        return P, theta
+    def _series(self) -> "_UniformizedSeries":
+        return _UniformizedSeries(self._alpha, self._S, self.exit_rates)
 
-    def _front(self, x: float) -> np.ndarray:
-        """``alpha exp(S x)`` by uniformization (Poisson-weighted steps).
+    def _eval(self, x, mix, at_zero: float, below: float):
+        """``mix`` at each ``x > 0``; ``at_zero`` at 0, ``below`` below it.
 
-        scipy's ``expm`` takes an exact-superdiagonal shortcut for
-        triangular input that collapses to garbage when two diagonal
-        entries differ by ~1 ulp (a hypoexponential with nearly equal
-        rates); here every term is a sub-probability vector, so the
-        series is unconditionally stable.
+        Every ``mix`` is a dot product of Poisson weights with a slice
+        of the law's cached uniformized sequence (see
+        :class:`_UniformizedSeries`); only a probe reaching past the
+        cached length runs new matrix-vector steps.
         """
-        P, theta = self._uniformized
-        lam = theta * x
-        lo, hi = stats.poisson.interval(1.0 - 1e-14, lam)
-        lo, hi = int(max(lo, 0)), int(hi) + 1
-        weights = stats.poisson.pmf(np.arange(hi + 1), lam)
-        out = np.zeros_like(self._alpha)
-        v = self._alpha.copy()
-        for k in range(hi + 1):
-            if k >= lo:
-                out += weights[k] * v
-            v = v @ P
-        return out
-
-    def _eval(self, x, reduce, at_zero: float, below: float):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
+        scalar = np.ndim(x) == 0
         x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
         out = np.empty(x_arr.size)
         for i, xi in enumerate(x_arr.ravel()):
@@ -259,7 +316,7 @@ class PhaseType:
             elif xi == 0.0:
                 out[i] = at_zero
             else:
-                out[i] = reduce(self._front(float(xi)))
+                out[i] = mix(float(xi))
         if scalar:
             return float(out[0])
         return out.reshape(x_arr.shape)

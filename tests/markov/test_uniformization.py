@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import special, stats
 from scipy.linalg import expm
 
 from repro.errors import ValidationError
 from repro.markov import DiscreteTimeMarkovChain
 from repro.markov.uniformization import (
+    poisson_window,
     transient_distribution,
     uniformization_rate,
     uniformize,
@@ -87,3 +89,27 @@ class TestTransient:
         p0 = np.array([0.0, 0.0, 1.0])
         got = transient_distribution(Q, p0, 500.0)
         assert got == pytest.approx(solve_stationary_gth(Q), abs=1e-9)
+
+
+LAMBDAS = np.logspace(-3, 5, 41)
+
+
+class TestPoissonWindow:
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_weights_match_scipy_pmf(self, lam):
+        lo, w = poisson_window(lam, 1e-14)
+        ref = stats.poisson.pmf(np.arange(lo, lo + len(w)), lam)
+        assert w == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-6])
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_window_holds_all_but_tol_of_the_mass(self, lam, tol):
+        lo, w = poisson_window(lam, tol)
+        hi = lo + len(w) - 1
+        left = special.pdtr(lo - 1, lam) if lo > 0 else 0.0
+        right = special.pdtrc(hi, lam)
+        assert left + right <= tol
+
+    def test_zero_rate_is_a_point_mass(self):
+        lo, w = poisson_window(0.0, 1e-14)
+        assert lo == 0 and w.tolist() == [1.0]

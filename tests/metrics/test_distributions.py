@@ -9,10 +9,13 @@ every reporting surface shares.
 
 import math
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import GangSchedulingModel, SystemConfig
 from repro.core.config import ClassConfig
+from repro.core.response import waiting_time_distribution
 from repro.errors import UnstableSystemError, ValidationError
 from repro.metrics import (
     ClassDistributions,
@@ -21,7 +24,13 @@ from repro.metrics import (
     parse_metric,
     parse_metrics,
 )
+from repro.obs import metrics
 from repro.phasetype import erlang, exponential
+from repro.scenario import OutputSpec, Scenario, SystemSpec, run
+from repro.utils.validation import (
+    check_subgenerator,
+    check_subprobability_vector,
+)
 from repro.workloads.presets import fig23_config
 
 
@@ -109,6 +118,107 @@ class TestExact:
 
     def test_distributions_are_model_cached(self, exact_solved):
         assert exact_solved.distributions(0) is exact_solved.distributions(0)
+
+
+#: ``(p50, p99)`` per class of ``fig23_config(rate, 2.0)``, computed
+#: when every distribution-function probe still ran its own
+#: uniformization from scratch.
+PINNED_LADDER = {
+    0.2: [(1.6618317024416687, 9.882166021612253),
+          (1.1082230326666558, 6.32566336789562),
+          (0.7591224945894807, 5.011480355864029),
+          (0.564931196111524, 4.638741980032604)],
+    0.3: [(1.81751145419293, 10.548988873736462),
+          (1.3295549981715518, 7.283409782934335),
+          (1.0288683116886885, 5.982045326267858),
+          (0.8824889844091264, 5.599222964404426)],
+    0.4: [(2.2837568643362776, 13.968415263199596),
+          (1.777499060560237, 10.297231232315184),
+          (1.5329645843466848, 8.536629273069565),
+          (1.4494581911932949, 8.008058278772282)],
+}
+
+#: The quantum grid of ``benchmarks/test_bench_tail.py`` (at rate 0.4).
+BENCH_TAIL_GRID = (0.5, 1.0, 2.0, 3.0, 4.5)
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    return {rate: _solve(fig23_config(rate, 2.0)) for rate in PINNED_LADDER}
+
+
+class TestLadderLaws:
+    """The fig23 load ladder's laws: pinned quantiles, valid inputs."""
+
+    def test_quantiles_match_pinned_values(self, ladder):
+        for rate, rows in PINNED_LADDER.items():
+            for p, (p50, p99) in enumerate(rows):
+                dist = ladder[rate].distributions(p)
+                assert dist.quantile(0.5) == pytest.approx(p50, rel=1e-9)
+                assert dist.quantile(0.99) == pytest.approx(p99, rel=1e-9)
+
+    @staticmethod
+    def _assert_valid(law):
+        # The internal laws skip construction-time validation; the
+        # validators must accept them unchanged.
+        assert np.array_equal(check_subgenerator(law.S), law.S)
+        assert np.array_equal(check_subprobability_vector(law.alpha),
+                              law.alpha)
+
+    def test_ladder_laws_are_valid_phase_types(self, ladder):
+        for solved in ladder.values():
+            for p in range(len(solved.classes)):
+                dist = solved.distributions(p)
+                self._assert_valid(dist.response)
+                self._assert_valid(dist.waiting)
+
+    @pytest.mark.slow
+    def test_bench_tail_laws_are_valid_phase_types(self):
+        for q in BENCH_TAIL_GRID:
+            solved = _solve(fig23_config(0.4, q))
+            for p in range(len(solved.classes)):
+                dist = solved.distributions(p)
+                assert dist.kind == "exact"
+                self._assert_valid(dist.response)
+                self._assert_valid(dist.waiting)
+
+    def test_waiting_law_reuses_the_response_chain(self, ladder):
+        solved = ladder[0.2]
+        for p in range(len(solved.classes)):
+            dist = solved.distributions(p)
+            assert dist.waiting == waiting_time_distribution(solved, p)
+            assert dist.waiting == waiting_time_distribution(
+                solved, p, response=dist.response)
+
+
+class TestObservability:
+    def test_traced_run_emits_spans_and_steps(self, tmp_path):
+        scenario = Scenario(
+            name="traced-p99",
+            system=SystemSpec(preset="fig23",
+                              args={"quantum_mean": 2.0,
+                                    "arrival_rate": 0.2}),
+            output=OutputSpec(metrics=("mean", "p99")))
+        path = tmp_path / "trace.jsonl"
+        with obs.session(trace_path=path):
+            run(scenario)
+        summary = obs.summarize_trace(path)
+        classes = len(fig23_config(0.2, 2.0).classes)
+        assert summary.spans["metrics.build"]["count"] == classes
+        assert summary.spans["metrics.quantile"]["count"] == classes
+        counters = summary.metrics["counters"]
+        assert counters["phasetype.uniformization.laws"] == classes
+        assert counters["phasetype.uniformization.steps"] > 0
+        report = obs.render_report(summary)
+        assert "distributions:" in report
+        assert "phasetype.uniformization.steps" in report
+
+    def test_untraced_evaluation_records_nothing(self):
+        solved = _solve(fig23_config(0.2, 2.0))
+        metrics.reset()
+        assert not obs.tracing_enabled() and not metrics.enabled()
+        assert metric_values(solved, 0, ("p99", "tail@5"))[0] > 0.0
+        assert metrics.snapshot()["counters"] == {}
 
 
 class TestMoment:

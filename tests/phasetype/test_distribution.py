@@ -1,9 +1,14 @@
 """Tests for the PhaseType class."""
 
+import pickle
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.linalg import expm
 
 from repro.errors import NotAPhaseTypeError
+from repro.obs import metrics
 from repro.phasetype import PhaseType, erlang, exponential, hyperexponential
 
 
@@ -147,6 +152,91 @@ class TestDistributionFunctions:
         m = maximum(f, g)
         for x in [0.5, 1.0, 10.0]:
             assert m.cdf(x) == pytest.approx(f.cdf(x) * g.cdf(x), abs=1e-10)
+
+
+def random_ph(seed: int, order: int) -> PhaseType:
+    """A dense, well-conditioned PH: every phase exits at rate >= 0.5."""
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(0.0, 1.0, (order, order))
+    np.fill_diagonal(S, 0.0)
+    exits = rng.uniform(0.5, 2.0, order)
+    S[np.diag_indices(order)] = -(S.sum(axis=1) + exits)
+    alpha = rng.dirichlet(np.ones(order)) * rng.uniform(0.8, 1.0)
+    return PhaseType(alpha, S)
+
+
+class TestUniformizedSeries:
+    """Distribution functions as Poisson mixtures of one cached sequence."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_matrix_exponential(self, seed):
+        d = random_ph(seed, order=2 + seed)
+        for x in [0.01, 0.3, 1.0, 4.0, 12.0]:
+            front = d.alpha @ expm(d.S * x)
+            assert d.sf(x) == pytest.approx(front.sum(), abs=1e-12)
+            assert d.cdf(x) == pytest.approx(1.0 - front.sum(), abs=1e-12)
+            assert d.pdf(x) == pytest.approx(front @ d.exit_rates,
+                                             abs=1e-12)
+
+    def test_probe_order_does_not_change_values(self):
+        d = random_ph(7, order=6)
+        got = [d.sf(10.0), d.sf(1.0), d.pdf(3.0), d.sf(20.0), d.cdf(0.5)]
+        fresh = [random_ph(7, order=6).sf(10.0),
+                 random_ph(7, order=6).sf(1.0),
+                 random_ph(7, order=6).pdf(3.0),
+                 random_ph(7, order=6).sf(20.0),
+                 random_ph(7, order=6).cdf(0.5)]
+        assert got == fresh
+
+    def test_probes_inside_the_cached_window_run_no_steps(self):
+        d = random_ph(3, order=4)
+        metrics.reset()
+        metrics.enable()
+        try:
+            d.sf(20.0)
+            after_first = metrics.snapshot()["counters"]
+            d.sf(1.0)
+            d.cdf(10.0)
+            d.pdf(5.0)
+            d.quantile(0.9)
+            after_more = metrics.snapshot()["counters"]
+        finally:
+            metrics.disable()
+            metrics.reset()
+        assert after_first["phasetype.uniformization.laws"] == 1
+        assert after_first["phasetype.uniformization.steps"] > 0
+        assert after_more == after_first
+
+    def test_array_inputs_keep_their_shape(self):
+        d = erlang(3, mean=1.0)
+        x = np.array([[0.5, 1.0, -1.0], [0.0, 2.0, 3.0]])
+        for fn in (d.cdf, d.sf, d.pdf):
+            out = fn(x)
+            assert out.shape == x.shape
+            assert out[0, 1] == fn(1.0)
+            assert out[1, 0] == fn(0.0)
+        assert isinstance(d.cdf(np.float64(1.0)), float)
+        assert isinstance(d.cdf(np.array(1.0)), float)
+        assert d.sf([1.0, 2.0]).shape == (2,)
+
+    @pytest.mark.parametrize("order", [3, 300])
+    def test_probed_law_pickles(self, order):
+        d = erlang(order, mean=1.0)
+        before = d.sf(1.5)
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d
+        assert back.sf(1.5) == before
+        assert back.sf(2.5) == d.sf(2.5)
+
+    def test_large_sparse_law_matches_closed_form(self):
+        # Erlang-300 is bidiagonal (0.7% dense): the series runs on CSR.
+        k, rate = 300, 2.0
+        d = erlang(k, rate=rate)
+        for x in [100.0, 150.0, 200.0]:
+            assert d.sf(x) == pytest.approx(
+                stats.poisson.cdf(k - 1, rate * x), abs=1e-12)
+            assert d.pdf(x) == pytest.approx(
+                stats.gamma.pdf(x, k, scale=1.0 / rate), abs=1e-12)
 
 
 class TestSampling:

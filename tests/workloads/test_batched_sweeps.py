@@ -115,8 +115,8 @@ class TestKillAndResume:
 
         assert resumed.resumed == 3
         assert resumed.points == clean.points
-        # Byte-level: every numeric field matches exactly — the
-        # resumed tail re-solved from the journaled continuation seed.
+        # Byte-level: every numeric field matches exactly — every point
+        # is a cold solve, so the resumed tail re-solves to the same bits.
         for rp, cp in zip(resumed.points, clean.points):
             assert rp.mean_jobs == cp.mean_jobs
             assert rp.mean_response_time == cp.mean_response_time
